@@ -75,7 +75,6 @@ from .solvers import (
     solve_eea,
     solve_kernel,
     solve_minors,
-    vanishing_chart_check,
 )
 from .strata import (
     StratumReport,
@@ -158,6 +157,5 @@ __all__ = [
     "stratum_equations",
     "taylor_prefix",
     "terminal_row",
-    "vanishing_chart_check",
     "whip_residual",
 ]

@@ -4,13 +4,15 @@ Exit codes are a stable contract:
 
     0  solvable (or the command completed)
     1  input error (bad JSON, bad flags, infeasible sample request)
-    2  internal error (route disagreement, broken invariant)
+    2  internal error (route disagreement, broken invariant, any
+       unexpected exception)
     3  unattainable input (solve / classify)
     4  identity verification failure (verify)
 
 Problem documents follow the schema of HermiteData.from_json_dict; all
 emitted documents re-parse to the same value.  Witness nodes are 0-based
-everywhere.  The env var RATHERM_SEED overrides any --seed flag.
+everywhere.  The env var RATHERM_SEED overrides any --seed flag.  Errors
+go to stderr as one JSON record {"error", "kind"}.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     InternalInconsistency,
     InvalidInput,
     MixedFields,
-    RathermError,
     ShapeMismatch,
     TooLarge,
 )
@@ -46,7 +47,7 @@ from .solvers import (
     solve_kernel,
     solve_minors,
 )
-from .strata import classify_by_rank, stratum_equations
+from .strata import classify_by_rank, diagonal_window, stratum_equations
 from .verify import check_identity, paper_identity_catalog, sample_stratum
 
 EXIT_OK = 0
@@ -56,6 +57,8 @@ EXIT_UNATTAINABLE = 3
 EXIT_VERIFY = 4
 
 _INPUT_ERRORS = (
+    json.JSONDecodeError,
+    OSError,
     InvalidInput,
     DuplicateNodes,
     CharacteristicTooSmall,
@@ -184,7 +187,7 @@ def cmd_solve(args) -> int:
             raise InternalInconsistency("emitted solution fails its own problem")
         out["A"] = shown.A.to_json()
         out["B"] = shown.B.to_json()
-        out["reduced"] = cls.reduced
+        out["reduced"] = False
         pretty += [f"A: {shown.A}", f"B: {shown.B}"]
     else:
         out["stratum_j"] = cls.stratum_j
@@ -210,9 +213,10 @@ def cmd_classify(args) -> int:
         and by_rank.defect == by_eq.defect
         and by_rank.witnesses == by_eq.witnesses
     )
+    window = diagonal_window(data)
     out = {
-        "rank": by_rank.to_json_dict(data),
-        "equations": by_eq.to_json_dict(data),
+        "rank": by_rank.to_json_dict(data, window),
+        "equations": by_eq.to_json_dict(data, window),
         "rank_classifier_agrees": agrees,
     }
     pretty = [
@@ -253,14 +257,12 @@ def cmd_minors(args) -> int:
             f"t={t}: ({', '.join(str(mv.value_at(i)) for i in range(1, n + 2))})"
             f"  annihilates={annihilates}"
         )
-    diag = {
-        str(t): fmt(diagonal_minor(data, t)) for t in range(t_min, t_max + 1)
-    }
+    diag = {t: diagonal_minor(data, t) for t in range(t_min, t_max + 1)}
     pretty.append(
-        "diagonal: "
-        + ", ".join(f"({t},{t})={diagonal_minor(data, int(t))}" for t in diag)
+        "diagonal: " + ", ".join(f"({t},{t})={x}" for t, x in diag.items())
     )
-    _emit(args, {"minors": table, "diagonal": diag}, pretty)
+    out = {"minors": table, "diagonal": {str(t): fmt(x) for t, x in diag.items()}}
+    _emit(args, out, pretty)
     return EXIT_OK
 
 
@@ -312,15 +314,7 @@ def cmd_eea_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     specs = paper_identity_catalog()
-    seed: Optional[int] = None
-    env = os.environ.get("RATHERM_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise InvalidInput(f"RATHERM_SEED must be an integer, got {env!r}") from exc
-    elif args.seed is not None:
-        seed = args.seed
+    seed = _effective_seed(args)
     resolved = []
     for i, spec in enumerate(specs):
         changes = {}
@@ -348,12 +342,11 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         raise InvalidInput("--shape must be comma-separated integers") from exc
     field = _parse_field_flag(args.field) if args.field is not None else RATIONALS
-    data = sample_stratum(
-        shape, args.k, args.defect, args.force_unattainable, _effective_seed(args), field
-    )
+    seed = _effective_seed(args)
+    data = sample_stratum(shape, args.k, args.defect, args.force_unattainable, seed, field)
     out = data.to_json_dict()
     out["meta"] = {
-        "seed": _effective_seed(args),
+        "seed": seed,
         "target_defect": args.defect,
         "force_unattainable": args.force_unattainable,
     }
@@ -438,30 +431,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except Exception as exc:
         print(
             json.dumps({"error": str(exc), "kind": type(exc).__name__}),
             file=sys.stderr,
         )
-        return EXIT_INPUT
-    except (json.JSONDecodeError, OSError) as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    except InternalInconsistency as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": "InternalInconsistency"}),
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    except RathermError as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
+        return EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,14 +26,18 @@ from .errors import (
     MixedFields,
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first 13 prime bases decide primality below 3317044064679887385961981.
+_MR_LIMIT = 33 * 10**23
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin; exact for n < 3.3e24, larger n rejected."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise InvalidInput(f"{n} is too large to certify as prime (limit 3.3e24)")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -180,17 +184,6 @@ class FieldConfig:
             return Fraction(n)
         return PrimeFieldElement(n, self.p)
 
-    def from_fraction(self, fr: Fraction) -> Scalar:
-        if self.p is None:
-            return fr
-        if fr.denominator % self.p == 0:
-            raise DivisionByZero(
-                f"denominator {fr.denominator} not invertible in GF({self.p})"
-            )
-        return PrimeFieldElement(fr.numerator, self.p) / PrimeFieldElement(
-            fr.denominator, self.p
-        )
-
     def contains(self, x: Scalar) -> bool:
         if self.p is None:
             return isinstance(x, Fraction)
@@ -222,6 +215,8 @@ class FieldConfig:
         return {"residue": x.residue, "p": x.p}
 
     def parse_scalar(self, obj) -> Scalar:
+        if isinstance(obj, bool):
+            raise InvalidInput(f"bad {self} value {obj!r}")
         if self.p is None:
             if isinstance(obj, int):
                 return Fraction(obj)
@@ -234,6 +229,8 @@ class FieldConfig:
         if isinstance(obj, int):
             return PrimeFieldElement(obj, self.p)
         if isinstance(obj, dict) and set(obj) == {"residue", "p"}:
+            if type(obj["residue"]) is not int:
+                raise InvalidInput(f"bad GF({self.p}) residue {obj['residue']!r}")
             if obj["p"] != self.p:
                 raise InvalidInput(f"residue mod {obj['p']} in a GF({self.p}) document")
             return PrimeFieldElement(obj["residue"], self.p)
@@ -265,39 +262,6 @@ def infer_field(scalars) -> FieldConfig:
         if isinstance(x, Fraction):
             return RATIONALS
     return RATIONALS
-
-
-def _check_pair(a: Scalar, b: Scalar) -> None:
-    ok_a = isinstance(a, (Fraction, PrimeFieldElement))
-    ok_b = isinstance(b, (Fraction, PrimeFieldElement))
-    if not (ok_a and ok_b):
-        raise MixedFields(f"not scalars: {a!r}, {b!r}")
-    if isinstance(a, Fraction) != isinstance(b, Fraction):
-        raise MixedFields(f"cannot mix {a!r} and {b!r}")
-    if isinstance(a, PrimeFieldElement) and a.p != b.p:
-        raise MixedFields(f"GF({a.p}) vs GF({b.p})")
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    _check_pair(a, b)
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    _check_pair(a, b)
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    _check_pair(a, b)
-    return a * b
-
-
-def div(a: Scalar, b: Scalar) -> Scalar:
-    _check_pair(a, b)
-    if not b:
-        raise DivisionByZero("scalar division by zero")
-    return a / b
 
 
 def pochhammer(j: int, t: int, field: FieldConfig = RATIONALS) -> Scalar:

@@ -47,11 +47,6 @@ class ExactMatrix:
     def rows_list(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.r)]
 
-    def delete_row(self, i: int) -> "ExactMatrix":
-        rows = self.rows_list()
-        del rows[i]
-        return ExactMatrix(rows, self.field) if rows else ExactMatrix([], self.field)
-
     def delete_columns(self, cols: Iterable[int]) -> "ExactMatrix":
         drop = set(cols)
         rows = [

@@ -208,12 +208,6 @@ class Poly:
             return self
         return self * (self.field.one / self.lead)
 
-    def shift(self, e: int) -> "Poly":
-        """Multiply by x^e."""
-        if self.is_zero:
-            return self
-        return Poly([self.field.zero] * e + list(self.coeffs), self.field)
-
     def to_json(self):
         return [self.field.format_scalar(c) for c in self.coeffs]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import BadIndex, DuplicateNodes, InvalidInput
 from .field import FieldConfig, Scalar, binomial, infer_field
@@ -133,13 +133,17 @@ class HermiteData:
             nodes = obj["nodes"]
         except KeyError as exc:
             raise InvalidInput(f"document lacks key {exc.args[0]!r}") from exc
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InvalidInput(f"k must be an integer, got {k!r}")
         if not isinstance(nodes, list) or not nodes:
             raise InvalidInput("\"nodes\" must be a nonempty list")
         u, n_vec, v = [], [], []
         for entry in nodes:
-            if not isinstance(entry, dict) or "u" not in entry or "values" not in entry:
+            if (
+                not isinstance(entry, dict)
+                or "u" not in entry
+                or not isinstance(entry.get("values"), list)
+            ):
                 raise InvalidInput(f"bad node entry {entry!r}")
             u.append(field.parse_scalar(entry["u"]))
             vals = [field.parse_scalar(x) for x in entry["values"]]
@@ -234,20 +238,6 @@ def build_submatrix_i(
     drop = {c1 - 1, c2 - 1}
     rows = [[x for j, x in enumerate(row) if j not in drop] for row in rows]
     return ExactMatrix(rows, data.field)
-
-
-def pair_from_vector(data: HermiteData, vec: Sequence[Scalar]) -> RationalSolution:
-    """Split a length-(n+1) coefficient vector into (A, B).
-
-    The first k coordinates are A's coefficients (ascending), the remaining
-    n-k+1 are B's; this is the column layout of build_matrix(data, k-1, n-k).
-    """
-    vec = list(vec)
-    if len(vec) != data.n + 1:
-        raise InvalidInput(f"vector length {len(vec)} != n+1 = {data.n + 1}")
-    return RationalSolution(
-        Poly(vec[: data.k], data.field), Poly(vec[data.k :], data.field)
-    )
 
 
 def whip_residual(data: HermiteData, sol: RationalSolution) -> list[Scalar]:

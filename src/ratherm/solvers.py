@@ -5,17 +5,19 @@ with deg A <= k-1, deg B <= n-k meet all the prescribed Taylor data with B
 nonvanishing at the nodes?  The linearized problem always has nontrivial
 solutions; they form ``C(x) * (A0, B0)`` for a minimal pair (A0, B0) unique
 up to a constant, and the original problem is solvable exactly when
-gcd(A0, B0) = 1.  The defect j of the data is the kernel dimension of the
-main matrix, equivalently s0 + 1 where s0 = min(k-1-deg A0, n-k-deg B0);
-unattainable data sits in the odd-codimension stratum indexed by its defect.
+gcd(A0, B0) = 1, which holds exactly when B0 vanishes at no node.  The
+defect j of the data is the kernel dimension of the main matrix,
+equivalently s0 + 1 where s0 = min(k-1-deg A0, n-k-deg B0); unattainable
+data sits in the odd-codimension stratum indexed by its defect.
 
-Routes:
+Routes, each finding the minimal pair its own way and then applying the
+node test of ``_classify_minimal``:
 
-- ``solve_kernel``: null space of the structured matrix, gcd reduction,
-  residual scan to rebuild the minimal pair.
+- ``solve_kernel``: rank of the structured matrix gives the defect, and the
+  one-dimensional kernel of the matrix shrunk by the defect is the pair.
 - ``solve_eea``: extended Euclidean run on (node polynomial, confluent
-  interpolant); the first remainder of degree <= k-1 and its Bezout
-  cofactor are the minimal pair.
+  interpolant), stopped at the first remainder of degree <= k-1; that
+  remainder and its Bezout cofactor are the minimal pair.
 - ``solve_minors``: closed-form minimal pairs sliced out of signed-minor
   vectors, chart-selected by nonvanishing square minors on the diagonal.
 
@@ -30,28 +32,12 @@ catalog checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import MinorVector, determinant, kernel_basis, signed_minors
-from .polynomial import (
-    MINUS_INFINITY,
-    Poly,
-    eea,
-    evaluate,
-    gcd,
-    hermite_interpolant,
-    product_F,
-    terminal_row,
-)
-from .problem import (
-    HermiteData,
-    RationalSolution,
-    build_matrix,
-    pair_from_vector,
-    rhip_check,
-    whip_residual,
-)
+from .linalg import MinorVector, determinant, kernel_basis, rank, signed_minors
+from .polynomial import Poly, evaluate, hermite_interpolant, product_F
+from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
 
 
 @dataclass(frozen=True)
@@ -90,14 +76,9 @@ class MinimalSolution:
 
 @dataclass(frozen=True)
 class Solvable:
-    """The problem has the (unique) solution sol.A / sol.B.
-
-    ``reduced`` records whether a nontrivial common factor was divided out
-    of the raw pair the route produced.
-    """
+    """The problem has the (unique) solution sol.A / sol.B."""
 
     sol: RationalSolution
-    reduced: bool
 
     @property
     def solvable(self) -> bool:
@@ -152,19 +133,24 @@ def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
 
 
 def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classification:
-    """Coprimality test of the minimal pair, per the solvability criterion."""
-    g = gcd(minsol.A0, minsol.B0)
-    if g.degree == 0:
+    """Node test of the minimal pair, per the solvability criterion.
+
+    B0(u_i) = 0 forces A0(u_i) = 0, since A0 = B0 G mod (x - u_i)^(n_i); a
+    common factor of A0 and B0 free of node roots would divide out and
+    leave a smaller pair.  So gcd(A0, B0) = 1 exactly when B0 has no node
+    root, and the witnesses are the whole test.
+    """
+    wits = witness_nodes(data, minsol.B0)
+    if not wits:
         sol = RationalSolution(minsol.A0, minsol.B0)
         if not rhip_check(data, sol):
             raise InternalInconsistency(
                 f"coprime minimal pair fails the original problem on {data!r}"
             )
-        return Solvable(sol, reduced=False)
-    wits = witness_nodes(data, minsol.B0)
-    if not wits:
+        return Solvable(sol)
+    if any(evaluate(minsol.A0, data.u[i]) for i in wits):
         raise InternalInconsistency(
-            f"common factor without a node root on {data!r}"
+            f"minimal denominator vanishes at a node where A0 does not on {data!r}"
         )
     return Unattainable(minsol.kernel_dim, wits)
 
@@ -172,87 +158,53 @@ def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classificat
 def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     """Null-space route.
 
-    Take any kernel basis vector of the main matrix, split it into (A, B),
-    divide out the gcd; the reduced pair solves the original problem iff it
-    still solves the linearized one.  If not, the minimal pair is the
-    reduced pair times prod (x - u_i)^(n_i - j_i) over the nodes i whose
-    residual block first fails at derivative order j_i.
+    The defect d is the kernel dimension of the main matrix.  It fixes the
+    degree bounds of the minimal pair, deg A0 <= k-d and deg B0 <= n-k-d+1,
+    so the kernel of the matrix shrunk to those bounds is the line through
+    (A0, B0).  When d > k+1 the numerator bound drops below zero, A0 = 0,
+    and the A block of the shrunken matrix is empty.
     """
-    basis = kernel_basis(build_matrix(data, data.k - 1, data.n - data.k))
-    if not basis:
-        raise InternalInconsistency(f"empty kernel for {data!r}")
-    raw = pair_from_vector(data, basis[0])
-    g = gcd(raw.A, raw.B)
-    reduced_pair = RationalSolution(raw.A // g, raw.B // g)
-    residual = whip_residual(data, reduced_pair)
-    if not any(residual):
-        minsol = MinimalSolution.from_pair(data, reduced_pair.A, reduced_pair.B)
-        if minsol.kernel_dim != len(basis):
-            raise InternalInconsistency(
-                f"dimension law broken: s0+1 = {minsol.kernel_dim}, "
-                f"kernel has {len(basis)} vectors"
-            )
-        sol = RationalSolution(minsol.A0, minsol.B0)
-        if not all(evaluate(sol.B, ui) for ui in data.u):
-            raise InternalInconsistency(
-                f"coprime kernel pair with vanishing denominator on {data!r}"
-            )
-        return minsol, Solvable(sol, reduced=g.degree > 0)
-    correction = Poly.one(data.field)
-    pos = 0
-    for i in range(data.l):
-        block = residual[pos : pos + data.n_vec[i]]
-        pos += data.n_vec[i]
-        for j, val in enumerate(block):
-            if val:
-                correction = correction * Poly((-data.u[i], 1), data.field) ** (
-                    data.n_vec[i] - j
-                )
-                break
+    k, n = data.k, data.n
+    d = n + 1 - rank(build_matrix(data, k - 1, n - k))
+    alpha = max(k - d, -1)
+    basis = kernel_basis(build_matrix(data, alpha, n - k - d + 1))
+    if len(basis) != 1:
+        raise InternalInconsistency(
+            f"shrunken kernel at defect {d} has {len(basis)} vectors on {data!r}"
+        )
+    vec = basis[0]
     minsol = MinimalSolution.from_pair(
-        data, correction * reduced_pair.A, correction * reduced_pair.B
+        data, Poly(vec[: alpha + 1], data.field), Poly(vec[alpha + 1 :], data.field)
     )
-    if minsol.kernel_dim != len(basis):
+    if minsol.kernel_dim != d:
         raise InternalInconsistency(
             f"dimension law broken: s0+1 = {minsol.kernel_dim}, "
-            f"kernel has {len(basis)} vectors"
+            f"kernel has {d} vectors"
         )
-    return minsol, Unattainable(minsol.kernel_dim, witness_nodes(data, minsol.B0))
+    return minsol, _classify_minimal(data, minsol)
 
 
 def solve_eea(data: HermiteData) -> Classification:
     """Euclidean route.
 
     F = prod (x - u_i)^(n_i), G = the confluent interpolant of the data.
-    The first table row whose remainder has degree <= k-1 carries the
-    minimal pair (R_cut, T_cut); solvable iff gcd(R_cut, T_cut) = 1.  When
-    every stored remainder is too large the zero-remainder terminal row
-    (whose Bezout identity still holds) is the cut row.
+    Euclid on (F, G) runs only until the remainder has degree <= k-1; that
+    row's remainder and Bezout cofactor T are the minimal pair, and only T
+    is carried.  A zero remainder (G = 0, or F and G sharing a factor of
+    degree >= k) also ends the run, with the same meaning.
     """
     G = hermite_interpolant(data)
-    if G.is_zero:
-        return Solvable(
-            RationalSolution(Poly.zero(data.field), Poly.one(data.field)),
-            reduced=False,
-        )
     F = product_F(data)
     if not G.degree < F.degree:
         raise InternalInconsistency(
             f"interpolant degree {G.degree} reached n = {F.degree}"
         )
-    rows = eea(F, G)
-    cut = next(
-        (row for row in rows if row.remainder.degree <= data.k - 1), None
-    )
-    if cut is None:
-        cut = terminal_row(rows)
-    R, T = cut.remainder, cut.bezout_t
-    g = gcd(R, T)
-    if g.degree == 0:
-        minsol = MinimalSolution.from_pair(data, R, T)
-        return Solvable(RationalSolution(minsol.A0, minsol.B0), reduced=False)
-    s0 = min(data.k - 1 - R.degree, data.n - data.k - T.degree)
-    return Unattainable(int(s0) + 1, witness_nodes(data, T))
+    zero, one = Poly.zero(data.field), Poly.one(data.field)
+    (R0, T0), (R, T) = (F, zero), (G, one)
+    while R.degree > data.k - 1:
+        q, r = divmod(R0, R)
+        (R0, T0), (R, T) = (R, T), (r, T0 - q * T)
+    return _classify_minimal(data, MinimalSolution.from_pair(data, R, T))
 
 
 def find_defect(data: HermiteData):
@@ -340,18 +292,3 @@ def solve_minors(data: HermiteData) -> tuple[MinimalSolution, Classification]:
             f"chart defect {j} disagrees with degree count {minsol.kernel_dim}"
         )
     return minsol, _classify_minimal(data, minsol)
-
-
-def vanishing_chart_check(
-    data: HermiteData, minsol: MinimalSolution, j: int
-) -> tuple[int, ...]:
-    """Witness set {i : B0(u_i) = 0} of a minimal solution.
-
-    Nonempty exactly when the data is unattainable with defect j; each
-    witness names one irreducible component of the stratum.
-    """
-    if minsol.kernel_dim != j:
-        raise InternalInconsistency(
-            f"minimal solution has defect {minsol.kernel_dim}, caller said {j}"
-        )
-    return witness_nodes(data, minsol.B0)

@@ -18,7 +18,7 @@ from .field import Scalar
 from .linalg import ExactMatrix, rank
 from .polynomial import evaluate
 from .problem import HermiteData, build_matrix, build_submatrix_i
-from .solvers import chart_pair, diagonal_minor, find_defect, solve_kernel
+from .solvers import chart_pair, diagonal_minor, find_defect
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class StratumReport:
     """Where one data point sits relative to the unattainability strata.
 
     defect: kernel dimension j of the main matrix (1 = generic).
-    diagonal_minor_values: t -> Delta_{t,t} for t in [k-m, k+m+1] clipped
-        to [1, n]; the vanishing run between the chart certificates is the
-        algebraic face of the defect.
     chart: which certificate is nonzero ("lower", "upper", or "both").
     unattainable: whether the problem has no solution at this point.
     witnesses: 0-based node indices of the stratum components containing
@@ -36,25 +33,28 @@ class StratumReport:
     """
 
     defect: int
-    diagonal_minor_values: dict[int, Scalar]
     chart: str
     unattainable: bool
     witnesses: tuple[int, ...]
 
-    def to_json_dict(self, data: HermiteData) -> dict:
+    def to_json_dict(self, data: HermiteData, window: dict[int, Scalar]) -> dict:
+        """JSON form, with the ``diagonal_window`` of the data shown alongside."""
         fmt = data.field.format_scalar
         return {
             "defect": self.defect,
-            "diagonal_minors": {
-                str(t): fmt(v) for t, v in sorted(self.diagonal_minor_values.items())
-            },
+            "diagonal_minors": {str(t): fmt(v) for t, v in sorted(window.items())},
             "chart": self.chart,
             "unattainable": self.unattainable,
             "witnesses": list(self.witnesses),
         }
 
 
-def _diagonal_window(data: HermiteData) -> dict[int, Scalar]:
+def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
+    """t -> Delta_{t,t} for t in [k-m, k+m+1] clipped to [1, n].
+
+    The vanishing run between the chart certificates is the algebraic face
+    of the defect.  Neither classifier needs the window; it is for display.
+    """
     lo = max(1, data.k - data.m)
     hi = min(data.n, data.k + data.m + 1)
     return {t: diagonal_minor(data, t) for t in range(lo, hi + 1)}
@@ -125,7 +125,6 @@ def classify_by_rank(data: HermiteData) -> StratumReport:
     cert_up = diagonal_minor(data, k + defect)
     return StratumReport(
         defect=defect,
-        diagonal_minor_values=_diagonal_window(data),
         chart=_chart_label(cert_low, cert_up),
         unattainable=bool(witnesses),
         witnesses=tuple(witnesses),
@@ -148,7 +147,6 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     witnesses = tuple(i for i, ui in enumerate(data.u) if not evaluate(B, ui))
     return StratumReport(
         defect=j,
-        diagonal_minor_values=_diagonal_window(data),
         chart=_chart_label(cert_low, cert_up),
         unattainable=bool(witnesses),
         witnesses=witnesses,
@@ -171,12 +169,3 @@ def b1_closed_form_check(data: HermiteData) -> bool:
     same_value = not (v10 - v20)
     predicted = (same_value and bool(v11)) or (not v11 and not same_value)
     return predicted == classify_by_rank(data).unattainable
-
-
-def rank_verdict_matches_kernel(data: HermiteData) -> bool:
-    """Oracle agreement helper used by tests and the CLI."""
-    by_rank = classify_by_rank(data)
-    _, cls = solve_kernel(data)
-    return by_rank.unattainable != cls.solvable and by_rank.defect == (
-        cls.stratum_j if not cls.solvable else by_rank.defect
-    )

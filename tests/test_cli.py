@@ -210,6 +210,35 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "InternalInconsistency" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"field": "Q", "k": 1, "nodes": [{"u": "1", "values": 5}]},
+        dict(GOLDEN_DOC, k=True),
+        {"field": "Q", "k": 1, "nodes": [{"u": True, "values": ["0"]}]},
+        # a strong pseudoprime to the bases 2..37
+        {"field": {"p": 318665857834031151167461}, "k": 1,
+         "nodes": [{"u": 1, "values": [2]}]},
+    ],
+    ids=["values-not-list", "bool-k", "bool-u", "pseudoprime-modulus"],
+)
+def test_malformed_document_is_input_error(tmp_path, capsys, doc):
+    code, out, err = run_json(capsys, ["solve", "--input", write_doc(tmp_path, doc)])
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "InvalidInput"
+
+
+def test_foreign_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def boom(data):
+        raise TypeError("synthetic failure")
+
+    monkeypatch.setattr("ratherm.cli.solve_kernel", boom)
+    path = write_doc(tmp_path, GOLDEN_DOC)
+    code, out, err = run_json(capsys, ["solve", "--input", path, "--method", "kernel"])
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {"error": "synthetic failure", "kind": "TypeError"}
+
+
 # ----------------------------------------------------------------- classify
 
 

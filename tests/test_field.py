@@ -1,6 +1,7 @@
 """Field configuration, prime-field arithmetic, and the falling factorial."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ratherm import (
     infer_field,
     pochhammer,
 )
+from ratherm.field import is_prime
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -149,16 +151,41 @@ def test_prime_field_fermat_inverse(x):
 
 
 def test_scalar_helpers_mixed_field_guard():
-    from ratherm.field import add, div, mul, sub
-
     q = Fraction(1, 2)
     g = PrimeFieldElement(1, 5)
-    for op in (add, sub, mul, div):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(MixedFields):
             op(q, g)
-    assert add(q, q) == Fraction(1)
-    assert sub(q, q) == Fraction(0)
-    assert mul(q, q) == Fraction(1, 4)
-    assert div(q, q) == Fraction(1)
+        with pytest.raises(MixedFields):
+            op(g, q)
     with pytest.raises(DivisionByZero):
-        div(q, Fraction(0))
+        g / PrimeFieldElement(0, 5)
+
+
+def test_is_prime_strong_pseudoprime_to_first_twelve_bases():
+    # psi_12 = 399165290221 * 798330580441 fools Miller-Rabin on bases 2..37
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12)
+    with pytest.raises(InvalidInput):
+        FieldConfig.prime(psi12)
+    assert is_prime(1000003)
+
+
+def test_is_prime_rejects_beyond_certified_range():
+    for n in (33 * 10**23, 2**89 - 1):
+        with pytest.raises(InvalidInput):
+            is_prime(n)
+        with pytest.raises(InvalidInput):
+            FieldConfig.prime(n)
+    assert is_prime(2**61 - 1)
+
+
+def test_parse_scalar_rejects_bools():
+    for field in (RAT, GF13):
+        for bad in (True, False):
+            with pytest.raises(InvalidInput):
+                field.parse_scalar(bad)
+    with pytest.raises(InvalidInput):
+        GF13.parse_scalar({"residue": "x", "p": 13})
+    with pytest.raises(InvalidInput):
+        GF13.parse_scalar({"residue": True, "p": 13})

@@ -62,7 +62,6 @@ def test_construction_and_accessors():
 
 def test_delete_row_and_columns():
     m = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert m.delete_row(1).rows_list() == [[1, 2, 3], [7, 8, 9]]
     assert m.delete_columns([0, 2]).rows_list() == [[2], [5], [8]]
 
 

@@ -99,7 +99,6 @@ def test_derivative_leibniz(a, b):
 def test_power_and_shift():
     assert P(-1, 1) ** 3 == P(-1, 3, -3, 1)
     assert P(1, 1) ** 0 == P(1)
-    assert P(2, 3).shift(2) == P(0, 0, 2, 3)
     assert P(1)(Fraction(7)) == Fraction(1)
     assert P(0, 0, 1)(Fraction(3)) == Fraction(9)
 

@@ -10,6 +10,7 @@ import pytest
 from ratherm import (
     CharacteristicTooSmall,
     DuplicateNodes,
+    ExactMatrix,
     FieldConfig,
     HermiteData,
     InvalidInput,
@@ -23,7 +24,7 @@ from ratherm import (
     whip_residual,
 )
 from ratherm.errors import BadIndex
-from ratherm.problem import block_rows, pair_from_vector
+from ratherm.problem import block_rows
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -175,7 +176,8 @@ def test_residual_matches_matrix_action():
         m = build_matrix(d, d.k - 1, d.n - d.k)
         vec = [Fraction(rng.randint(-5, 5)) for _ in range(d.n + 1)]
         image = m.mul_vector(vec)
-        res = whip_residual(d, pair_from_vector(d, vec))
+        pair = RationalSolution(Poly(vec[: d.k], RAT), Poly(vec[d.k :], RAT))
+        res = whip_residual(d, pair)
         row = 0
         for i in range(d.l):
             for j in range(d.n_vec[i]):
@@ -218,14 +220,6 @@ def test_rhip_check_rejects_vanishing_denominator():
     assert not rhip_check(d, sol)
 
 
-def test_pair_from_vector(golden):
-    sol = pair_from_vector(golden, [1, 2, 3, 4])
-    assert sol.A.coeffs == (Fraction(1), Fraction(2))
-    assert sol.B.coeffs == (Fraction(3), Fraction(4))
-    with pytest.raises(InvalidInput):
-        pair_from_vector(golden, [1, 2, 3])
-
-
 def test_submatrix_against_literal_deletion():
     rng = random.Random(61)
     for shape, k in [((2, 1), 2), ((2, 2), 3), ((3, 1), 2)]:
@@ -234,10 +228,12 @@ def test_submatrix_against_literal_deletion():
         full = build_matrix(d, alpha, beta)
         for i in range(1, d.l + 1):
             last_row = sum(shape[: i - 1]) + shape[i - 1] - 1
-            assert build_submatrix_i(d, alpha, beta, i) == full.delete_row(last_row)
+            rows = full.rows_list()
+            del rows[last_row]
+            deleted = ExactMatrix(rows, d.field)
+            assert build_submatrix_i(d, alpha, beta, i) == deleted
             dropped = build_submatrix_i(d, alpha, beta, i, drop_cols=(1, d.n + 1))
-            manual = full.delete_row(last_row).delete_columns([0, d.n])
-            assert dropped == manual
+            assert dropped == deleted.delete_columns([0, d.n])
 
 
 def test_submatrix_bad_indices(golden):

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratherm import (
     FieldConfig,
@@ -20,6 +22,7 @@ from ratherm import (
     Solvable,
     Unattainable,
     build_matrix,
+    classify_by_rank,
     diagonal_minor,
     kernel_basis,
     minor_vector,
@@ -29,12 +32,14 @@ from ratherm import (
     solve_eea,
     solve_kernel,
     solve_minors,
-    vanishing_chart_check,
+    stratum_equations,
 )
 from ratherm.linalg import determinant
 from ratherm.solvers import chart_pair, find_defect, witness_nodes
 
 RAT = FieldConfig.rationals()
+GF5 = FieldConfig.prime(5)
+GF7 = FieldConfig.prime(7)
 GF13 = FieldConfig.prime(13)
 
 SHAPES = [
@@ -98,9 +103,8 @@ def test_golden_minors_route(golden):
 
 def test_golden_chart_witnesses(golden):
     minsol, _ = solve_minors(golden)
-    assert vanishing_chart_check(golden, minsol, 1) == (1,)
-    with pytest.raises(InternalInconsistency):
-        vanishing_chart_check(golden, minsol, 2)
+    assert witness_nodes(golden, minsol.B0) == (1,)
+    assert witness_nodes(golden, Poly((1,), RAT)) == ()
 
 
 # ------------------------------------------------------- solvable instances
@@ -114,7 +118,6 @@ def test_solvable_instance_all_routes():
     assert isinstance(verdict, Solvable)
     assert verdict.solvable
     assert verdict.sol == RationalSolution(A, B)
-    assert not verdict.reduced
     assert solve_eea(d) == verdict
     minsol_m, verdict_m = solve_minors(d)
     assert verdict_m == verdict
@@ -330,3 +333,57 @@ def test_routes_agree_on_random_data(field):
                 unattainable_seen += 1
                 assert verdict_k.witness_nodes
     assert solvable_seen and unattainable_seen
+
+
+# ------------------------------------------------- low-entropy agreement
+
+
+# Defect above k+1: the minimal numerator is zero and the kernel route's
+# shrunken matrix has an empty A block.  The last one is solvable (0 / 1).
+EMPTY_NUMERATOR_BLOCK = [
+    DEGENERATE[1][0],
+    DEGENERATE[2][0],
+    HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, GF5),
+    HermiteData((3,), (3,), ((0, 0, 0),), 1, GF7),
+]
+
+
+def test_low_entropy_examples_reach_empty_numerator_block():
+    for d in EMPTY_NUMERATOR_BLOCK:
+        dim = (d.n + 1) - rank(build_matrix(d, d.k - 1, d.n - d.k))
+        assert dim > d.k + 1
+
+
+@st.composite
+def low_entropy_data(draw):
+    """Values in {-1, 0, 1, 2}, 1-3 nodes, multiplicities 1-3, Q or GF(5|7)."""
+    field = draw(st.sampled_from((RAT, GF5, GF7)))
+    l = draw(st.integers(1, 3))
+    pool = range(field.p) if field.is_prime_field else range(-2, 4)
+    u = draw(st.lists(st.sampled_from(pool), min_size=l, max_size=l, unique=True))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=l, max_size=l)))
+    values = st.sampled_from((-1, 0, 1, 2))
+    v = tuple(
+        tuple(draw(st.lists(values, min_size=ni, max_size=ni))) for ni in shape
+    )
+    return HermiteData(u, shape, v, draw(st.integers(1, sum(shape))), field)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(low_entropy_data())
+@example(EMPTY_NUMERATOR_BLOCK[0])
+@example(EMPTY_NUMERATOR_BLOCK[1])
+@example(EMPTY_NUMERATOR_BLOCK[2])
+@example(EMPTY_NUMERATOR_BLOCK[3])
+def test_routes_and_classifiers_agree_low_entropy(d):
+    minsol_k, verdict_k = solve_kernel(d)
+    minsol_m, verdict_m = solve_minors(d)
+    assert minsol_k == minsol_m
+    assert verdict_k == verdict_m == solve_eea(d)
+    witnesses = () if verdict_k.solvable else verdict_k.witness_nodes
+    if not verdict_k.solvable:
+        assert verdict_k.stratum_j == minsol_k.kernel_dim
+    for rep in (classify_by_rank(d), stratum_equations(d)):
+        assert rep.defect == minsol_k.kernel_dim
+        assert rep.unattainable == (not verdict_k.solvable)
+        assert rep.witnesses == witnesses

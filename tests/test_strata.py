@@ -17,7 +17,7 @@ from ratherm import (
     solve_kernel,
     stratum_equations,
 )
-from ratherm.strata import rank_verdict_matches_kernel
+from ratherm.strata import diagonal_window
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -31,6 +31,16 @@ SHAPES = [
     ((4, 2), 4),
     ((2, 2, 1), 3),
 ]
+
+
+def rank_verdict_matches_kernel(d):
+    """The rank classifier's verdict and defect against the kernel route."""
+    by_rank = classify_by_rank(d)
+    _, cls = solve_kernel(d)
+    return by_rank.unattainable != cls.solvable and by_rank.defect == (
+        cls.stratum_j if not cls.solvable else by_rank.defect
+    )
+
 
 DEGENERATE = [
     (HermiteData((0,), (3,), ((0, 0, 1),), 1, RAT), 2, (0,)),
@@ -54,9 +64,10 @@ def test_golden_rank_report(golden):
     assert rep.chart == "both"
     assert rep.unattainable
     assert rep.witnesses == (1,)
-    assert set(rep.diagonal_minor_values) == {1, 2, 3}
-    assert rep.diagonal_minor_values[2] == Fraction(1)
-    assert rep.diagonal_minor_values[3] == Fraction(1)
+    window = diagonal_window(golden)
+    assert set(window) == {1, 2, 3}
+    assert window[2] == Fraction(1)
+    assert window[3] == Fraction(1)
 
 
 def test_golden_equation_report(golden):
@@ -64,7 +75,7 @@ def test_golden_equation_report(golden):
 
 
 def test_report_json(golden):
-    doc = classify_by_rank(golden).to_json_dict(golden)
+    doc = classify_by_rank(golden).to_json_dict(golden, diagonal_window(golden))
     assert doc["defect"] == 1
     assert doc["chart"] == "both"
     assert doc["unattainable"] is True
@@ -75,7 +86,7 @@ def test_report_json(golden):
 
 def test_report_json_prime_field():
     d = random_data(random.Random(3), (2, 1), 2, GF13)
-    doc = classify_by_rank(d).to_json_dict(d)
+    doc = classify_by_rank(d).to_json_dict(d, diagonal_window(d))
     for val in doc["diagonal_minors"].values():
         assert set(val) == {"residue", "p"} and val["p"] == 13
 
@@ -84,9 +95,8 @@ def test_diagonal_window_bounds():
     rng = random.Random(5)
     for shape, k in SHAPES:
         d = random_data(rng, shape, k)
-        rep = classify_by_rank(d)
         lo, hi = max(1, d.k - d.m), min(d.n, d.k + d.m + 1)
-        assert sorted(rep.diagonal_minor_values) == list(range(lo, hi + 1))
+        assert sorted(diagonal_window(d)) == list(range(lo, hi + 1))
 
 
 def test_classifiers_agree_on_random_data():
