@@ -42,7 +42,7 @@ class ZeroInput(RathermError, ValueError):
 
 
 class TooLarge(RathermError, ValueError):
-    """Input exceeds a brute-force oracle's size cap."""
+    """Input exceeds a size cap (MAX_N, MAX_SAMPLES, MAX_BRUTE_COLS)."""
 
 
 class InfeasibleRequest(RathermError, ValueError):

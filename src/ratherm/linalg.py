@@ -1,5 +1,6 @@
-"""Exact dense linear algebra: fraction-free rank and determinant (Bareiss),
-kernel bases, and signed maximal minors.
+"""Exact dense linear algebra: rank and determinant from one fraction-free
+(Bareiss) forward loop, kernel bases from reduced echelon form, signed
+maximal minors, and submatrices by index selection.
 
 Row and column indices are 0-based everywhere in this module; the 1-based
 minor positions quoted by callers live in :class:`MinorVector`, whose
@@ -9,10 +10,10 @@ minor positions quoted by callers live in :class:`MinorVector`, whose
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ShapeMismatch
-from .field import RATIONALS, FieldConfig, Scalar, infer_field
+from .field import FieldConfig, Scalar, infer_field
 
 
 class ExactMatrix:
@@ -47,12 +48,11 @@ class ExactMatrix:
     def rows_list(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.r)]
 
-    def delete_columns(self, cols: Iterable[int]) -> "ExactMatrix":
-        drop = set(cols)
-        rows = [
-            [x for j, x in enumerate(row) if j not in drop] for row in self.rows_list()
-        ]
-        return ExactMatrix(rows, self.field)
+    def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
+        """The submatrix on the given row and column indices, in that order."""
+        cols = list(cols)
+        e, c = self.entries, self.c
+        return ExactMatrix([[e[i * c + j] for j in cols] for i in rows], self.field)
 
     def mul_vector(self, v) -> list[Scalar]:
         v = list(v)
@@ -118,69 +118,53 @@ class MinorVector:
         return len(self.values)
 
 
-def rank(M: ExactMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
+def _bareiss(M: ExactMatrix) -> Iterator[tuple[int, Optional[Scalar], bool]]:
+    """Forward fraction-free elimination on a copy of M, one column per step.
 
-    Pivot: first row with a nonzero entry in the current column; columns
-    without one are skipped, which keeps the exact-division step valid.
+    Yields (column, pivot, swap parity) until the rows run out.  The pivot
+    is the first nonzero entry at or below the current row, or None, and
+    the column is then skipped, which keeps the exact division valid.
     """
     a = M.rows_list()
-    zero = M.field.zero
     prev = M.field.one
+    parity = False
     row_i = 0
     for col in range(M.c):
         if row_i >= M.r:
-            break
-        piv = None
-        for rr in range(row_i, M.r):
-            if a[rr][col]:
-                piv = rr
-                break
+            return
+        piv = next((rr for rr in range(row_i, M.r) if a[rr][col]), None)
         if piv is None:
+            yield col, None, parity
             continue
         if piv != row_i:
             a[row_i], a[piv] = a[piv], a[row_i]
+            parity = not parity
         p = a[row_i][col]
+        top = a[row_i]
         for rr in range(row_i + 1, M.r):
-            factor = a[rr][col]
+            row = a[rr]
+            factor = row[col]
             for cc in range(col + 1, M.c):
-                a[rr][cc] = (p * a[rr][cc] - factor * a[row_i][cc]) / prev
-            a[rr][col] = zero
+                row[cc] = (p * row[cc] - factor * top[cc]) / prev
         prev = p
         row_i += 1
-    return row_i
+        yield col, p, parity
+
+
+def rank(M: ExactMatrix) -> int:
+    """Exact rank: the number of Bareiss pivots."""
+    return sum(p is not None for _, p, _ in _bareiss(M))
 
 
 def determinant(M: ExactMatrix) -> Scalar:
-    """Exact determinant by Bareiss; the empty 0x0 matrix has determinant 1."""
+    """Exact determinant: the signed last Bareiss pivot, or zero at the
+    first column without one.  The empty 0x0 matrix has determinant 1."""
     if M.r != M.c:
         raise ShapeMismatch(f"determinant of a {M.r}x{M.c} matrix")
-    n = M.r
-    if n == 0:
-        return M.field.one
-    a = M.rows_list()
-    zero = M.field.zero
-    prev = M.field.one
-    negate = False
-    for col in range(n - 1):
-        piv = None
-        for rr in range(col, n):
-            if a[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            return zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            negate = not negate
-        p = a[col][col]
-        for rr in range(col + 1, n):
-            factor = a[rr][col]
-            for cc in range(col + 1, n):
-                a[rr][cc] = (p * a[rr][cc] - factor * a[col][cc]) / prev
-            a[rr][col] = zero
-        prev = p
-    det = a[n - 1][n - 1]
+    det, negate = M.field.one, False
+    for _, det, negate in _bareiss(M):
+        if det is None:
+            return M.field.zero
     return -det if negate else det
 
 
@@ -250,8 +234,7 @@ def signed_minors(M: ExactMatrix) -> MinorVector:
         return MinorVector(tuple([zero] * M.c))
     v = basis[0]
     i0 = next(i for i, x in enumerate(v) if x)
-    sub = M.delete_columns([i0])
-    anchor = determinant(sub)
+    anchor = determinant(M.select(range(M.r), [c for c in range(M.c) if c != i0]))
     if i0 % 2 == 1:
         anchor = -anchor
     scale = anchor / v[i0]

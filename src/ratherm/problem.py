@@ -5,11 +5,13 @@ n = sum n_i, target values v[i][j] for j < n_i, and the numerator degree
 parameter k.  The value convention is Taylor-like throughout: the wanted
 j-th derivative of A/B at u_i is j! * v[i][j].
 
-``build_matrix(data, alpha, beta)`` stacks one block per node; its kernel at
+Every structured matrix is an index selection of one n x (2n+2)
+``master_matrix`` per instance.  ``build_matrix(data, alpha, beta)`` takes
+its left columns 0..alpha and right columns 0..beta; its kernel at
 (alpha, beta) = (k-1, n-k) is exactly the solution space of the linearized
-problem ``whip_residual`` measures.  Either block may be empty
-(alpha = -1 or beta = -1), which the square-minor machinery at the extreme
-column counts relies on.
+problem ``whip_residual`` measures, without reading any matrix.  Either
+side may be empty (alpha = -1 or beta = -1), which the square-minor
+machinery at the extreme column counts relies on.
 """
 
 from __future__ import annotations
@@ -18,21 +20,24 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadIndex, DuplicateNodes, InvalidInput
+from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
 from .field import FieldConfig, Scalar, binomial, infer_field
 from .linalg import ExactMatrix
 from .polynomial import Poly, derivative, evaluate
+
+# Largest accepted n = sum n_i; bounds the work of every command.
+MAX_N = 64
 
 
 class HermiteData:
     """Validated, immutable problem input.
 
-    Nodes must be pairwise distinct and 1 <= k <= n; prime fields must have
-    p >= max multiplicity.  Node indices are 0-based at this API (reports
-    and witness lists use the same convention).
+    Nodes must be pairwise distinct, 1 <= k <= n and n <= MAX_N; prime
+    fields must have p >= max multiplicity.  Node indices are 0-based at
+    this API (reports and witness lists use the same convention).
     """
 
-    __slots__ = ("u", "n_vec", "v", "k", "field")
+    __slots__ = ("u", "n_vec", "v", "k", "field", "_master")
 
     def __init__(self, u, n_vec, v, k: int, field: Optional[FieldConfig] = None):
         n_vec = tuple(int(x) for x in n_vec)
@@ -59,6 +64,8 @@ class HermiteData:
                 if not (u[i] - u[j]):
                     raise DuplicateNodes(f"nodes {i} and {j} coincide")
         n = sum(n_vec)
+        if n > MAX_N:
+            raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
         if not 1 <= k <= n:
             raise InvalidInput(f"k = {k} outside 1..{n}")
         field.require_characteristic(n_vec)
@@ -67,6 +74,7 @@ class HermiteData:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_master", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermiteData is immutable")
@@ -171,41 +179,43 @@ class RationalSolution:
     B: Poly
 
 
-def block_rows(data: HermiteData, alpha: int, beta: int, i: int) -> list[list[Scalar]]:
-    """Rows of the i-th node block (0-based i) at degree bounds alpha, beta.
+def master_matrix(data: HermiteData) -> ExactMatrix:
+    """The n x (2n+2) matrix every structured matrix is selected from.
 
-    Left columns l = 0..alpha carry C(l, j) u^(l-j); right columns l = 0..beta
-    carry -sum_{t<=j} C(l, t) v_{i,j-t} u^(l-t), with C(l, t) = 0 for t > l.
-    alpha = -1 or beta = -1 yields an empty block on that side.
+    Row (i, j), in block order, holds j-th Taylor coefficients at u_i: of x^l
+    in left column l, C(l, j) u_i^(l-j), and of -V x^l in right column
+    n+1+l, the convolution of the left column with v_i.  l runs over 0..n.
+    Built once per instance and cached on it.
     """
-    if alpha < -1 or beta < -1:
-        raise InvalidInput(f"degree bounds ({alpha}, {beta}) below -1")
-    field = data.field
-    ui = data.u[i]
-    vi = data.v[i]
-    rows = []
-    for j in range(data.n_vec[i]):
-        row: list[Scalar] = []
-        for l in range(alpha + 1):
-            if j > l:
-                row.append(field.zero)
-            else:
-                row.append(binomial(l, j, field) * ui ** (l - j))
-        for l in range(beta + 1):
-            acc = field.zero
-            for t in range(min(j, l) + 1):
-                acc = acc + binomial(l, t, field) * vi[j - t] * ui ** (l - t)
-            row.append(-acc)
-        rows.append(row)
-    return rows
+    if data._master is None:
+        field, cols = data.field, range(data.n + 1)
+        C = [[binomial(l, j, field) for l in cols] for j in range(max(data.n_vec))]
+        rows = []
+        for ui, vi in zip(data.u, data.v):
+            pw = [ui**e for e in cols]
+            # C[j][l] is zero for j > l, whatever power stands beside it
+            left = [[C[j][l] * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
+            for j, row in enumerate(left):
+                right = [field.zero] * len(cols)
+                for t in range(j + 1):
+                    right = [x - y * vi[j - t] for x, y in zip(right, left[t])]
+                rows.append(row + right)
+        object.__setattr__(data, "_master", ExactMatrix(rows, field))
+    return data._master
+
+
+def _family_columns(data: HermiteData, alpha: int, beta: int) -> list[int]:
+    """Master columns of the (alpha, beta) member: left 0..alpha, right 0..beta."""
+    n = data.n
+    if not (-1 <= alpha <= n and -1 <= beta <= n):
+        raise InvalidInput(f"degree bounds ({alpha}, {beta}) outside -1..{n}")
+    return list(range(alpha + 1)) + list(range(n + 1, n + 2 + beta))
 
 
 def build_matrix(data: HermiteData, alpha: int, beta: int) -> ExactMatrix:
-    """The n x (alpha+beta+2) stacked block matrix."""
-    rows: list[list[Scalar]] = []
-    for i in range(data.l):
-        rows.extend(block_rows(data, alpha, beta, i))
-    return ExactMatrix(rows, data.field)
+    """The n x (alpha+beta+2) member of the family, sliced from the master."""
+    cols = _family_columns(data, alpha, beta)
+    return master_matrix(data).select(range(data.n), cols)
 
 
 def build_submatrix_i(
@@ -223,39 +233,34 @@ def build_submatrix_i(
     """
     if not 1 <= i <= data.l:
         raise BadIndex(f"node index {i} outside 1..{data.l}")
-    rows: list[list[Scalar]] = []
-    for b in range(data.l):
-        block = block_rows(data, alpha, beta, b)
-        if b == i - 1:
-            block = block[:-1]
-        rows.extend(block)
-    width = alpha + beta + 2
-    if drop_cols is None:
-        return ExactMatrix(rows, data.field)
-    c1, c2 = drop_cols
-    if not (1 <= c1 <= width and 1 <= c2 <= width) or c1 == c2:
-        raise BadIndex(f"drop columns {drop_cols} invalid for width {width}")
-    drop = {c1 - 1, c2 - 1}
-    rows = [[x for j, x in enumerate(row) if j not in drop] for row in rows]
-    return ExactMatrix(rows, data.field)
+    cols = _family_columns(data, alpha, beta)
+    if drop_cols is not None:
+        c1, c2 = drop_cols
+        width = len(cols)
+        if not (1 <= c1 <= width and 1 <= c2 <= width) or c1 == c2:
+            raise BadIndex(f"drop columns {drop_cols} invalid for width {width}")
+        cols = [c for pos, c in enumerate(cols, 1) if pos not in drop_cols]
+    last = sum(data.n_vec[:i]) - 1
+    return master_matrix(data).select([r for r in range(data.n) if r != last], cols)
 
 
 def whip_residual(data: HermiteData, sol: RationalSolution) -> list[Scalar]:
     """The n values A^(j)(u_i) - sum_t (j)_t v_{i,t} B^(j-t)(u_i), block order.
 
-    All zero exactly when (A, B) solves the linearized problem.
+    All zero exactly when (A, B) solves the linearized problem.  Each
+    derivative is formed once and evaluated once per node.
     """
     field = data.field
+    orders = range(max(data.n_vec))
+    dA = [derivative(sol.A, j) for j in orders]
+    dB = [derivative(sol.B, j) for j in orders]
     out = []
-    for i in range(data.l):
-        ui = data.u[i]
-        for j in range(data.n_vec[i]):
-            acc = evaluate(derivative(sol.A, j), ui)
+    for ui, vi in zip(data.u, data.v):
+        b = [evaluate(dB[j], ui) for j in range(len(vi))]
+        for j in range(len(vi)):
+            acc = evaluate(dA[j], ui)
             for t in range(j + 1):
-                coeff = field.from_int(math.perm(j, t))
-                acc = acc - coeff * data.v[i][t] * evaluate(
-                    derivative(sol.B, j - t), ui
-                )
+                acc = acc - field.from_int(math.perm(j, t)) * vi[t] * b[j - t]
             out.append(acc)
     return out
 

@@ -119,12 +119,13 @@ def minor_vector(data: HermiteData, t: int) -> MinorVector:
 def diagonal_minor(data: HermiteData, t: int) -> "Scalar":
     """Delta_{t,t}: delete column t from the (t-1, n-t) matrix and take det.
 
-    The alternating signs cancel on the diagonal, so no sign is applied.
+    Column t is that matrix's last left column, so deleting it leaves the
+    (t-2, n-t) member.  The alternating signs cancel on the diagonal, so no
+    sign is applied.
     """
     if not 1 <= t <= data.n + 1:
         raise InternalInconsistency(f"diagonal minor index t = {t} outside 1..n+1")
-    M = build_matrix(data, t - 1, data.n - t)
-    return determinant(M.delete_columns([t - 1]))
+    return determinant(build_matrix(data, t - 2, data.n - t))
 
 
 def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:

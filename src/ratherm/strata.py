@@ -17,7 +17,7 @@ from .errors import InternalInconsistency, ShapeMismatch
 from .field import Scalar
 from .linalg import ExactMatrix, rank
 from .polynomial import evaluate
-from .problem import HermiteData, build_matrix, build_submatrix_i
+from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix
 from .solvers import chart_pair, diagonal_minor, find_defect
 
 
@@ -70,19 +70,21 @@ def _chart_label(cert_low: Scalar, cert_up: Scalar) -> str:
     raise InternalInconsistency("both chart certificates vanish at the defect")
 
 
-def _denominator_vanishes_at(data: HermiteData, i: int) -> bool:
-    """Rank test for ``B(u_i) = 0`` across the whole kernel.
+def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[int]:
+    """Rank test for ``B(u_i) = 0`` across the whole kernel of M, of rank r.
 
     Appending the evaluation functional B |-> B(u_i) as an extra row leaves
     the rank unchanged exactly when every kernel element already satisfies
-    it, i.e. when the minimal denominator vanishes at node i.
+    it, i.e. when the minimal denominator vanishes at node i.  The master
+    row of (u_i, order 0) carries the powers u_i^l in its left columns.
     """
-    M = build_matrix(data, data.k - 1, data.n - data.k)
-    ui = data.u[i]
-    one = data.field.one
-    zero = data.field.zero
-    row = [zero] * data.k + [ui**l * one for l in range(data.n - data.k + 1)]
-    return rank(ExactMatrix(M.rows_list() + [row], data.field)) == rank(M)
+    master, roots = master_matrix(data), []
+    for i in range(data.l):
+        powers = master.row(sum(data.n_vec[:i]))[: data.n - data.k + 1]
+        row = [data.field.zero] * data.k + list(powers)
+        if rank(ExactMatrix(M.rows_list() + [row], data.field)) == r:
+            roots.append(i)
+    return roots
 
 
 def classify_by_rank(data: HermiteData) -> StratumReport:
@@ -107,9 +109,9 @@ def classify_by_rank(data: HermiteData) -> StratumReport:
         j -= 1
     defect = j + 1
     if defect == m + 1:
-        dim = (n + 1) - rank(build_matrix(data, k - 1, n - k))
-        if dim > defect:
-            defect = dim
+        main = build_matrix(data, k - 1, n - k)
+        main_rank = rank(main)
+        defect = max(defect, (n + 1) - main_rank)
     if defect <= m + 1:
         alpha, beta = k - 1 - j, n - k - j
         width = n - 2 * j + 1
@@ -119,7 +121,7 @@ def classify_by_rank(data: HermiteData) -> StratumReport:
             if rank(sub) < width - 2:
                 witnesses.append(i - 1)
     else:
-        witnesses = [i for i in range(data.l) if _denominator_vanishes_at(data, i)]
+        witnesses = _denominator_root_nodes(data, main, main_rank)
     zero = data.field.zero
     cert_low = diagonal_minor(data, k - defect + 1) if k - defect + 1 >= 1 else zero
     cert_up = diagonal_minor(data, k + defect)

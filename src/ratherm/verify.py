@@ -28,10 +28,12 @@ from .errors import (
 from .field import RATIONALS, FieldConfig, Scalar, binomial
 from .linalg import ExactMatrix
 from .polynomial import Poly, gcd, rational_taylor
-from .problem import HermiteData, RationalSolution, whip_residual
+from .problem import MAX_N, HermiteData, RationalSolution, whip_residual
 from .solvers import diagonal_minor, minor_vector, solve_kernel, solve_minors
 
 MAX_BRUTE_COLS = 8
+# Largest accepted sample_count per identity.
+MAX_SAMPLES = 10_000
 _POOL_NUM = 50
 _POOL_DEN = 10
 _MAX_ATTEMPTS = 200
@@ -110,6 +112,8 @@ def check_identity(spec: IdentitySpec, field: FieldConfig = RATIONALS) -> dict:
     """
     if spec.sample_count < 1:
         raise InvalidInput(f"sample_count must be positive, got {spec.sample_count}")
+    if spec.sample_count > MAX_SAMPLES:
+        raise TooLarge(f"sample_count {spec.sample_count} exceeds {MAX_SAMPLES}")
     rng = random.Random(spec.seed)
     passes = 0
     failures = []
@@ -484,6 +488,8 @@ def sample_stratum(
     if not n_vec or any(x < 1 for x in n_vec):
         raise InvalidInput(f"multiplicities must be positive, got {n_vec}")
     n = sum(n_vec)
+    if n > MAX_N:
+        raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
     if not 1 <= k <= n:
         raise InvalidInput(f"k must lie in 1..{n}, got {k}")
     m = min(k - 1, n - k)

@@ -16,6 +16,8 @@ from ratherm import (
     taylor_prefix,
 )
 from ratherm.cli import main
+from ratherm.problem import MAX_N
+from ratherm.verify import MAX_SAMPLES
 
 RAT = FieldConfig.rationals()
 
@@ -352,6 +354,13 @@ def test_verify_env_seed(capsys, monkeypatch):
     assert "RATHERM_SEED" in err
 
 
+def test_verify_sample_cap(capsys):
+    code, out, err = run_json(capsys, ["verify", "--samples", str(MAX_SAMPLES + 1)])
+    assert code == 1
+    assert out is None
+    assert json.loads(err)["kind"] == "TooLarge"
+
+
 # ------------------------------------------------------------------- sample
 
 
@@ -417,3 +426,17 @@ def test_sample_bad_requests(capsys):
     )
     assert code == 1
     assert "InfeasibleRequest" in err
+
+
+def test_size_cap_is_input_error(tmp_path, capsys):
+    # n = MAX_N is accepted; one more value is refused, by document or sampler
+    at_cap = HermiteData((0,), (MAX_N,), ((0,) * MAX_N,), 1, RAT)
+    assert at_cap.n == MAX_N
+    doc = {"field": "Q", "k": 1, "nodes": [{"u": "0", "values": ["0"] * (MAX_N + 1)}]}
+    code, out, err = run_json(capsys, ["solve", "--input", write_doc(tmp_path, doc)])
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "TooLarge"
+    shape = f"{MAX_N},1"
+    code, out, err = run_json(capsys, ["sample", "--shape", shape, "--k", "2"])
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "TooLarge"

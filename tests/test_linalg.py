@@ -60,9 +60,12 @@ def test_construction_and_accessors():
         M([[1, 2], [3]])
 
 
-def test_delete_row_and_columns():
+def test_select():
     m = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert m.delete_columns([0, 2]).rows_list() == [[2], [5], [8]]
+    assert m.select(range(3), [1]).rows_list() == [[2], [5], [8]]
+    assert m.select([2, 0], [2, 0]).rows_list() == [[9, 7], [3, 1]]
+    assert m.select([], [0]).r == 0
+    assert m.select([1], []).rows_list() == [[]] and m.select([1], []).c == 0
 
 
 def test_mul_vector():

@@ -24,7 +24,7 @@ from ratherm import (
     whip_residual,
 )
 from ratherm.errors import BadIndex
-from ratherm.problem import block_rows
+from ratherm.problem import master_matrix
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -135,29 +135,38 @@ def test_json_ignores_extra_keys(golden):
     assert HermiteData.from_json_dict(doc) == golden
 
 
+def check_against_taylor(d, alpha, beta):
+    """Each entry of the (alpha, beta) member is a Taylor coefficient of
+    x^l (left) or -V x^l (right) at its node."""
+    field = d.field
+    m = build_matrix(d, alpha, beta)
+    assert (m.r, m.c) == (d.n, alpha + beta + 2)
+    row = 0
+    for i in range(d.l):
+        ui = d.u[i]
+        # target Taylor polynomial sum_j v_ij (x - u_i)^j
+        V = Poly((0,), field)
+        for j, vij in enumerate(d.v[i]):
+            V = V + Poly((vij,), field) * Poly((-ui, 1), field) ** j
+        for j in range(d.n_vec[i]):
+            for l in range(alpha + 1):
+                mono = Poly([0] * l + [1], field)
+                assert m.entry(row, l) == taylor_prefix(mono, ui, j + 1)[j]
+            for l in range(beta + 1):
+                mono = Poly([0] * l + [1], field)
+                want = -taylor_prefix(V * mono, ui, j + 1)[j]
+                assert m.entry(row, alpha + 1 + l) == want
+            row += 1
+
+
 def test_build_matrix_taylor_oracle():
     rng = random.Random(47)
-    for shape, k in [((2, 1), 2), ((3,), 2), ((2, 2), 3)]:
-        d = random_data(rng, shape, k)
-        alpha, beta = d.k - 1, d.n - d.k
-        m = build_matrix(d, alpha, beta)
-        assert (m.r, m.c) == (d.n, d.n + 1)
-        row = 0
-        for i in range(d.l):
-            ui = d.u[i]
-            # target Taylor polynomial sum_j v_ij (x - u_i)^j
-            V = Poly((0,), RAT)
-            for j, vij in enumerate(d.v[i]):
-                V = V + Poly((vij,), RAT) * Poly((-ui, 1), RAT) ** j
-            for j in range(d.n_vec[i]):
-                for l in range(alpha + 1):
-                    mono = Poly([0] * l + [1], RAT)
-                    assert m.entry(row, l) == taylor_prefix(mono, ui, j + 1)[j]
-                for l in range(beta + 1):
-                    mono = Poly([0] * l + [1], RAT)
-                    want = -taylor_prefix(V * mono, ui, j + 1)[j]
-                    assert m.entry(row, alpha + 1 + l) == want
-                row += 1
+    for field in (RAT, GF13):
+        for shape, k in [((2, 1), 2), ((3,), 2), ((2, 2), 3)]:
+            d = random_data(rng, shape, k, field)
+            for alpha in range(-1, d.n + 1):
+                for beta in range(-1, d.n + 1):
+                    check_against_taylor(d, alpha, beta)
 
 
 def test_build_matrix_empty_sides(golden):
@@ -167,6 +176,8 @@ def test_build_matrix_empty_sides(golden):
     assert (right_only.r, right_only.c) == (golden.n, golden.n)
     with pytest.raises(InvalidInput):
         build_matrix(golden, -2, 0)
+    with pytest.raises(InvalidInput):
+        build_matrix(golden, 0, golden.n + 1)
 
 
 def test_residual_matches_matrix_action():
@@ -233,7 +244,7 @@ def test_submatrix_against_literal_deletion():
             deleted = ExactMatrix(rows, d.field)
             assert build_submatrix_i(d, alpha, beta, i) == deleted
             dropped = build_submatrix_i(d, alpha, beta, i, drop_cols=(1, d.n + 1))
-            assert dropped == deleted.delete_columns([0, d.n])
+            assert dropped == deleted.select(range(deleted.r), range(1, d.n))
 
 
 def test_submatrix_bad_indices(golden):
@@ -248,7 +259,11 @@ def test_submatrix_bad_indices(golden):
         build_submatrix_i(golden, alpha, beta, 1, drop_cols=(0, 1))
 
 
-def test_block_rows_counts(golden):
-    rows = block_rows(golden, golden.k - 1, golden.n - golden.k, 0)
-    assert len(rows) == golden.n_vec[0]
-    assert all(len(r) == golden.n + 1 for r in rows)
+def test_master_matrix_shape(golden):
+    master = master_matrix(golden)
+    assert (master.r, master.c) == (golden.n, 2 * golden.n + 2)
+    assert master_matrix(golden) is master
+    # the cache is invisible to equality, hashing and repr
+    fresh = HermiteData(golden.u, golden.n_vec, golden.v, golden.k, golden.field)
+    assert fresh == golden and hash(fresh) == hash(golden)
+    assert repr(fresh) == repr(golden)
