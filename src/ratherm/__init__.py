@@ -32,7 +32,6 @@ from .field import (
     Scalar,
     binomial,
     infer_field,
-    pochhammer,
 )
 from .linalg import (
     ExactMatrix,
@@ -40,7 +39,6 @@ from .linalg import (
     determinant,
     kernel_basis,
     rank,
-    rref,
     signed_minors,
 )
 from .polynomial import (
@@ -93,69 +91,22 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# The names the README documents; everything imported above stays importable.
 __all__ = [
-    "BadIndex",
-    "BothZero",
-    "CharacteristicTooSmall",
-    "Classification",
-    "DivisionByZero",
-    "DuplicateNodes",
-    "EEARow",
-    "ExactMatrix",
     "FieldConfig",
     "HermiteData",
-    "IdentitySpec",
-    "InfeasibleRequest",
-    "InternalInconsistency",
-    "InvalidInput",
-    "MINUS_INFINITY",
-    "MinimalSolution",
-    "MinorVector",
-    "MixedFields",
-    "Poly",
-    "PrimeFieldElement",
-    "RATIONALS",
-    "RathermError",
-    "RationalSolution",
-    "Scalar",
-    "ShapeMismatch",
-    "Solvable",
-    "StratumReport",
     "TooLarge",
-    "Unattainable",
-    "ZeroInput",
-    "b1_closed_form_check",
-    "binomial",
     "brute_force_kernel",
-    "build_matrix",
-    "build_submatrix_i",
     "check_identity",
     "classify_by_rank",
-    "derivative",
-    "determinant",
     "diagonal_minor",
-    "disputed_variants",
     "eea",
-    "evaluate",
-    "gcd",
     "hermite_interpolant",
-    "infer_field",
-    "kernel_basis",
     "minor_vector",
     "paper_identity_catalog",
-    "pochhammer",
     "product_F",
-    "rank",
-    "rational_taylor",
-    "rhip_check",
-    "rref",
     "sample_stratum",
-    "signed_minors",
     "solve_eea",
     "solve_kernel",
     "solve_minors",
-    "stratum_equations",
-    "taylor_prefix",
-    "terminal_row",
-    "whip_residual",
 ]

@@ -264,13 +264,6 @@ def infer_field(scalars) -> FieldConfig:
     return RATIONALS
 
 
-def pochhammer(j: int, t: int, field: FieldConfig = RATIONALS) -> Scalar:
-    """Falling factorial (j)_t = j(j-1)...(j-t+1); (j)_0 = 1, 0 when t > j."""
-    if j < 0 or t < 0:
-        raise InvalidInput("pochhammer arguments must be nonnegative")
-    return field.from_int(math.perm(j, t) if t <= j else 0)
-
-
 def binomial(k: int, j: int, field: FieldConfig = RATIONALS) -> Scalar:
     """Binomial coefficient as a Scalar; zero when j > k."""
     if k < 0 or j < 0:

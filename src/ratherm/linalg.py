@@ -1,6 +1,7 @@
-"""Exact dense linear algebra: rank and determinant from one fraction-free
-(Bareiss) forward loop, kernel bases from reduced echelon form, signed
-maximal minors, and submatrices by index selection.
+"""Exact dense linear algebra: rank, determinant, kernel bases and signed
+maximal minors, all read off one fraction-free Gauss-Jordan pass on plain
+ints (row-scaled numerators over Q, residues over GF(p)), and submatrices
+by index selection.  Boxed scalars are built only for returned values.
 
 Row and column indices are 0-based everywhere in this module; the 1-based
 minor positions quoted by callers live in :class:`MinorVector`, whose
@@ -9,8 +10,9 @@ minor positions quoted by callers live in :class:`MinorVector`, whose
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import ShapeMismatch
 from .field import FieldConfig, Scalar, infer_field
@@ -29,18 +31,14 @@ class ExactMatrix:
         if field is None:
             field = infer_field(x for row in raw for x in row)
         flat = tuple(field.coerce(x) for row in raw for x in row)
-        object.__setattr__(self, "r", len(raw))
-        object.__setattr__(self, "c", widths.pop() if widths else 0)
-        object.__setattr__(self, "entries", flat)
-        object.__setattr__(self, "field", field)
+        self._fill(len(raw), widths.pop() if widths else 0, flat, field)
+
+    def _fill(self, r: int, c: int, entries: tuple, field: FieldConfig) -> None:
+        for name, value in zip(("r", "c", "entries", "field"), (r, c, entries, field)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> Scalar:
-        if not (0 <= i < self.r and 0 <= j < self.c):
-            raise ShapeMismatch(f"entry ({i},{j}) outside {self.r}x{self.c}")
-        return self.entries[i * self.c + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.c : (i + 1) * self.c]
@@ -49,10 +47,16 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.r)]
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
-        """The submatrix on the given row and column indices, in that order."""
-        cols = list(cols)
+        """The submatrix on the given row and column indices, in that order.
+
+        It has len(cols) columns even when no row is selected.
+        """
+        rows, cols = list(rows), list(cols)
         e, c = self.entries, self.c
-        return ExactMatrix([[e[i * c + j] for j in cols] for i in rows], self.field)
+        flat = tuple(e[i * c + j] for i in rows for j in cols)
+        out = object.__new__(ExactMatrix)
+        out._fill(len(rows), len(cols), flat, self.field)
+        return out
 
     def mul_vector(self, v) -> list[Scalar]:
         v = list(v)
@@ -118,81 +122,85 @@ class MinorVector:
         return len(self.values)
 
 
-def _bareiss(M: ExactMatrix) -> Iterator[tuple[int, Optional[Scalar], bool]]:
-    """Forward fraction-free elimination on a copy of M, one column per step.
+def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
+    """One fraction-free Gauss-Jordan pass over plain ints.
 
-    Yields (column, pivot, swap parity) until the rows run out.  The pivot
-    is the first nonzero entry at or below the current row, or None, and
-    the column is then skipped, which keeps the exact division valid.
+    Over Q each row is first multiplied by the lcm of its denominators and
+    ``scale`` is the product of those lcms; over GF(p) the rows are the
+    residues and ``scale`` is 1.  At each pivot d, every other row becomes
+    (d*x - f*y) / prev, with f its entry in the pivot column, y the pivot
+    row's entry and prev the previous pivot.  Over Q every entry stays a
+    minor of the scaled matrix, so the division is exact (Bareiss 1968);
+    over GF(p) it is one inverse per pivot.  A column without a nonzero
+    entry at or below the current row is skipped.
+
+    Returns (rows, pivots, last_pivot, parity, scale).  Pivot row i holds
+    last_pivot in column pivots[i] and zero in the other pivot columns.
+    On the pivot columns, the scaled rows have determinant
+    (-1)^parity * last_pivot, the empty product giving 1.
     """
-    a = M.rows_list()
-    prev = M.field.one
-    parity = False
-    row_i = 0
+    p = M.field.p
+    if p is None:
+        rows, scale = [], 1
+        for i in range(M.r):
+            row = M.row(i)
+            lcm = math.lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (lcm // x.denominator) for x in row])
+            scale *= lcm
+    else:
+        rows, scale = [[x.residue for x in M.row(i)] for i in range(M.r)], 1
+    pivots: list[int] = []
+    prev, parity = 1, False
     for col in range(M.c):
-        if row_i >= M.r:
-            return
-        piv = next((rr for rr in range(row_i, M.r) if a[rr][col]), None)
+        k = len(pivots)
+        if k == M.r:
+            break
+        piv = next((i for i in range(k, M.r) if rows[i][col]), None)
         if piv is None:
-            yield col, None, parity
             continue
-        if piv != row_i:
-            a[row_i], a[piv] = a[piv], a[row_i]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
             parity = not parity
-        p = a[row_i][col]
-        top = a[row_i]
-        for rr in range(row_i + 1, M.r):
-            row = a[rr]
-            factor = row[col]
-            for cc in range(col + 1, M.c):
-                row[cc] = (p * row[cc] - factor * top[cc]) / prev
-        prev = p
-        row_i += 1
-        yield col, p, parity
+        top = rows[k]
+        d = top[col]
+        inv = None if p is None else pow(prev, -1, p)
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[col]
+            if p is None:
+                rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                rows[i] = [(d * x - f * y) * inv % p for x, y in zip(row, top)]
+        pivots.append(col)
+        prev = d
+    return rows, pivots, prev, parity, scale
+
+
+def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) -> list:
+    """The integer kernel vector of free column f: last_pivot there, minus
+    the pivot rows' entries of column f on the pivot columns."""
+    v = [0] * M.c
+    v[f] = last
+    for row, col in zip(rows, pivots):
+        v[col] = -row[f]
+    return v
 
 
 def rank(M: ExactMatrix) -> int:
-    """Exact rank: the number of Bareiss pivots."""
-    return sum(p is not None for _, p, _ in _bareiss(M))
+    """Exact rank: the number of pivots."""
+    return len(_eliminate(M)[1])
 
 
 def determinant(M: ExactMatrix) -> Scalar:
-    """Exact determinant: the signed last Bareiss pivot, or zero at the
-    first column without one.  The empty 0x0 matrix has determinant 1."""
+    """Exact determinant: the signed last pivot over the row scale, or zero
+    without a full pivot set.  The empty 0x0 matrix has determinant 1."""
     if M.r != M.c:
         raise ShapeMismatch(f"determinant of a {M.r}x{M.c} matrix")
-    det, negate = M.field.one, False
-    for _, det, negate in _bareiss(M):
-        if det is None:
-            return M.field.zero
-    return -det if negate else det
-
-
-def rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (ordinary division) and pivot column list."""
-    a = M.rows_list()
-    pivots: list[int] = []
-    row_i = 0
-    for col in range(M.c):
-        if row_i >= M.r:
-            break
-        piv = None
-        for rr in range(row_i, M.r):
-            if a[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[row_i], a[piv] = a[piv], a[row_i]
-        inv = M.field.one / a[row_i][col]
-        a[row_i] = [x * inv for x in a[row_i]]
-        for rr in range(M.r):
-            if rr != row_i and a[rr][col]:
-                factor = a[rr][col]
-                a[rr] = [x - factor * y for x, y in zip(a[rr], a[row_i])]
-        pivots.append(col)
-        row_i += 1
-    return a, pivots
+    _, pivots, last, parity, scale = _eliminate(M)
+    if len(pivots) < M.r:
+        return M.field.zero
+    return M.field.from_int(-last if parity else last) / M.field.from_int(scale)
 
 
 def kernel_basis(M: ExactMatrix) -> list[tuple]:
@@ -201,18 +209,13 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     Deterministic: free columns are taken in increasing index order and each
     vector is scaled so its first nonzero coordinate is 1.
     """
-    a, pivots = rref(M)
-    free = [c for c in range(M.c) if c not in pivots]
-    zero, one = M.field.zero, M.field.one
+    rows, pivots, last, _, _ = _eliminate(M)
+    field = M.field
     basis = []
-    for f in free:
-        v = [zero] * M.c
-        v[f] = one
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -a[prow][f]
-        first = next(x for x in v if x)
-        inv = one / first
-        basis.append(tuple(x * inv for x in v))
+    for f in [c for c in range(M.c) if c not in pivots]:
+        v = _kernel_vector(M, rows, pivots, last, f)
+        inv = field.one / field.from_int(next(x for x in v if x))
+        basis.append(tuple(field.from_int(x) * inv for x in v))
     return basis
 
 
@@ -220,22 +223,20 @@ def signed_minors(M: ExactMatrix) -> MinorVector:
     """Signed maximal minors of an r x (r+1) matrix.
 
     Position i (1-based) holds (-1)^(i+1) det(M with column i deleted); the
-    alternation makes the vector a kernel member whenever rank(M) = r.  Only
-    one elimination plus one determinant is performed (the kernel direction
-    fixes all ratios); a per-determinant oracle covers this in tests.  A
+    alternation makes the vector a kernel member whenever rank(M) = r.  At
+    full rank there is one free column f, and deleting it leaves the pivot
+    columns, whose determinant the elimination already holds; so the vector
+    is the integer kernel vector of f times (-1)^(f + parity) / scale.  A
     rank-deficient M returns the zero vector, since every maximal minor
     vanishes then.
     """
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
-    zero = M.field.zero
-    basis = kernel_basis(M)
-    if len(basis) != 1:
-        return MinorVector(tuple([zero] * M.c))
-    v = basis[0]
-    i0 = next(i for i, x in enumerate(v) if x)
-    anchor = determinant(M.select(range(M.r), [c for c in range(M.c) if c != i0]))
-    if i0 % 2 == 1:
-        anchor = -anchor
-    scale = anchor / v[i0]
-    return MinorVector(tuple(x * scale for x in v))
+    rows, pivots, last, parity, scale = _eliminate(M)
+    field = M.field
+    if len(pivots) < M.r:
+        return MinorVector(tuple([field.zero] * M.c))
+    f = next(c for c in range(M.c) if c not in pivots)
+    factor = field.from_int(-1 if (f + parity) % 2 else 1) / field.from_int(scale)
+    v = _kernel_vector(M, rows, pivots, last, f)
+    return MinorVector(tuple(field.from_int(x) * factor for x in v))

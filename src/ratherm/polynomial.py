@@ -64,14 +64,6 @@ class Poly:
     def one(cls, field: FieldConfig = RATIONALS) -> "Poly":
         return cls((1,), field)
 
-    @classmethod
-    def x(cls, field: FieldConfig = RATIONALS) -> "Poly":
-        return cls((0, 1), field)
-
-    @classmethod
-    def constant(cls, c, field: Optional[FieldConfig] = None) -> "Poly":
-        return cls((c,), field)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY

@@ -309,9 +309,10 @@ def disputed_variants() -> tuple[IdentitySpec, ...]:
 def brute_force_kernel(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     """Kernel basis by plain Gauss-Jordan, pivoting bottom-up.
 
-    Deliberately different from the production path (Bareiss rank, top-down
-    reduced echelon): pivots are searched from the last row upward and the
-    output vectors are not normalized.  Spans must agree with kernel_basis.
+    Deliberately different from the production path (fraction-free, top-down
+    on plain ints): it divides boxed scalars, pivots are searched from the
+    last row upward and the output vectors are not normalized.  Spans must
+    agree with kernel_basis.
     """
     if M.c > MAX_BRUTE_COLS:
         raise TooLarge(f"brute-force kernel capped at {MAX_BRUTE_COLS} columns")

@@ -17,7 +17,6 @@ from ratherm import (
     PrimeFieldElement,
     binomial,
     infer_field,
-    pochhammer,
 )
 from ratherm.field import is_prime
 
@@ -112,17 +111,6 @@ def test_infer_field():
     assert infer_field([PrimeFieldElement(1, 5), PrimeFieldElement(1, 7)]) == GF5
     with pytest.raises(MixedFields):
         GF5.coerce(PrimeFieldElement(1, 7))
-
-
-def test_pochhammer_against_product():
-    for j in range(8):
-        for t in range(8):
-            expected = 1
-            for s in range(t):
-                expected *= j - s
-            assert pochhammer(j, t) == Fraction(expected)
-    assert pochhammer(5, 0) == Fraction(1)
-    assert pochhammer(3, 4) == Fraction(0)
 
 
 def test_binomial_matches_comb():

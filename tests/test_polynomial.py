@@ -43,8 +43,6 @@ def test_construction_trims_and_degrees():
     assert P(0, 0).is_zero
     assert Poly.zero(RAT).degree == MINUS_INFINITY
     assert Poly.one(RAT) == P(1)
-    assert Poly.x(RAT) == P(0, 1)
-    assert Poly.constant(Fraction(5), RAT) == P(5)
     assert P(3, 0, 2).lead == Fraction(2)
     assert P(3, 0, 2).coeff(1) == Fraction(0)
     assert P(3, 0, 2).coeff(99) == Fraction(0)

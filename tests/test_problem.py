@@ -151,11 +151,11 @@ def check_against_taylor(d, alpha, beta):
         for j in range(d.n_vec[i]):
             for l in range(alpha + 1):
                 mono = Poly([0] * l + [1], field)
-                assert m.entry(row, l) == taylor_prefix(mono, ui, j + 1)[j]
+                assert m.row(row)[l] == taylor_prefix(mono, ui, j + 1)[j]
             for l in range(beta + 1):
                 mono = Poly([0] * l + [1], field)
                 want = -taylor_prefix(V * mono, ui, j + 1)[j]
-                assert m.entry(row, alpha + 1 + l) == want
+                assert m.row(row)[alpha + 1 + l] == want
             row += 1
 
 
