@@ -257,7 +257,8 @@ def cmd_minors(args) -> int:
             f"t={t}: ({', '.join(str(mv.value_at(i)) for i in range(1, n + 2))})"
             f"  annihilates={annihilates}"
         )
-    diag = {t: diagonal_minor(data, t) for t in range(t_min, t_max + 1)}
+    # minor vectors are indexed from 1, so there is no Delta_{0,0}
+    diag = {t: diagonal_minor(data, t) for t in range(max(t_min, 1), t_max + 1)}
     pretty.append(
         "diagonal: " + ", ".join(f"({t},{t})={x}" for t, x in diag.items())
     )
@@ -372,8 +373,15 @@ def _add_io_options(sp) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidInput on bad flags, so they exit 1 with a JSON record."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratherm",
         description=(
             "Exact solver and classifier for rational Hermite interpolation: "
@@ -427,9 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(

@@ -1,7 +1,10 @@
 """Exact dense linear algebra: rank, determinant, kernel bases and signed
-maximal minors, all read off one fraction-free Gauss-Jordan pass on plain
-ints (row-scaled numerators over Q, residues over GF(p)), and submatrices
-by index selection.  Boxed scalars are built only for returned values.
+maximal minors, all read off one fraction-free elimination on plain ints,
+and submatrices by index selection.  An :class:`ExactMatrix` stores int
+rows (numerators over one row denominator over Q, residues over GF(p));
+boxed scalars are built lazily, when entries are read, compared, hashed or
+printed, and for returned values.  ``rank`` and ``determinant`` eliminate
+forward only; ``kernel_basis`` and ``signed_minors`` run Gauss-Jordan.
 
 Row and column indices are 0-based everywhere in this module; the 1-based
 minor positions quoted by callers live in :class:`MinorVector`, whose
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ShapeMismatch
@@ -19,9 +23,13 @@ from .field import FieldConfig, Scalar, infer_field
 
 
 class ExactMatrix:
-    """Immutable dense matrix over one exact field; r or c may be zero."""
+    """Immutable dense matrix over one exact field; r or c may be zero.
 
-    __slots__ = ("r", "c", "entries", "field")
+    Row i is the int list ``nums[i]`` over the positive int ``dens[i]``;
+    over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.
+    """
+
+    __slots__ = ("r", "c", "field", "nums", "dens", "_entries")
 
     def __init__(self, rows: Iterable[Iterable], field: Optional[FieldConfig] = None):
         raw = [list(row) for row in rows]
@@ -30,61 +38,74 @@ class ExactMatrix:
             raise ShapeMismatch(f"ragged rows of widths {sorted(widths)}")
         if field is None:
             field = infer_field(x for row in raw for x in row)
-        flat = tuple(field.coerce(x) for row in raw for x in row)
-        self._fill(len(raw), widths.pop() if widths else 0, flat, field)
+        boxed = [[field.coerce(x) for x in row] for row in raw]
+        if field.p is None:
+            dens = [math.lcm(*(x.denominator for x in row)) for row in boxed]
+            nums = [[x.numerator * d // x.denominator for x in row] for row, d in zip(boxed, dens)]
+        else:
+            nums, dens = [[x.residue for x in row] for row in boxed], [1] * len(boxed)
+        entries = tuple(x for row in boxed for x in row)
+        self._fill(widths.pop() if widths else 0, field, nums, dens, entries)
 
-    def _fill(self, r: int, c: int, entries: tuple, field: FieldConfig) -> None:
-        for name, value in zip(("r", "c", "entries", "field"), (r, c, entries, field)):
+    @classmethod
+    def from_ints(cls, nums: list, dens: list, c: int, field: FieldConfig) -> "ExactMatrix":
+        """The matrix of rows nums[i] / dens[i], taken unchecked."""
+        out = object.__new__(cls)
+        out._fill(c, field, nums, dens)
+        return out
+
+    def _fill(self, c: int, field: FieldConfig, nums: list, dens: list, entries=None):
+        for name, value in zip(self.__slots__, (len(nums), c, field, nums, dens, entries)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def _boxed(self) -> tuple:
+        """The entries as field scalars, row by row; built on first use."""
+        if self._entries is None:
+            if self.field.p is None:
+                flat = (Fraction(x, d) for row, d in zip(self.nums, self.dens) for x in row)
+            else:
+                flat = (self.field.from_int(x) for row in self.nums for x in row)
+            object.__setattr__(self, "_entries", tuple(flat))
+        return self._entries
+
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.c : (i + 1) * self.c]
+        return self._boxed()[i * self.c : (i + 1) * self.c]
 
     def rows_list(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.r)]
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
-        """The submatrix on the given row and column indices, in that order.
-
-        It has len(cols) columns even when no row is selected.
-        """
+        """The submatrix on the given row and column indices, in that order;
+        rows keep their denominators, and it has len(cols) columns even when
+        no row is selected."""
         rows, cols = list(rows), list(cols)
-        e, c = self.entries, self.c
-        flat = tuple(e[i * c + j] for i in rows for j in cols)
-        out = object.__new__(ExactMatrix)
-        out._fill(len(rows), len(cols), flat, self.field)
-        return out
+        nums = [[row[j] for j in cols] for row in (self.nums[i] for i in rows)]
+        return ExactMatrix.from_ints(nums, [self.dens[i] for i in rows], len(cols), self.field)
 
     def mul_vector(self, v) -> list[Scalar]:
         v = list(v)
         if len(v) != self.c:
             raise ShapeMismatch(f"vector of length {len(v)} times {self.r}x{self.c}")
-        out = []
-        for i in range(self.r):
-            acc = self.field.zero
-            row = self.row(i)
-            for x, y in zip(row, v):
-                acc = acc + x * y
-            out.append(acc)
-        return out
+        zero = self.field.zero
+        return [sum((x * y for x, y in zip(self.row(i), v)), zero) for i in range(self.r)]
 
     def __eq__(self, other):
         if isinstance(other, ExactMatrix):
             return (
                 self.field == other.field
                 and (self.r, self.c) == (other.r, other.c)
-                and self.entries == other.entries
+                and self._boxed() == other._boxed()
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.r, self.c, self.entries))
+        return hash((self.field, self.r, self.c, self._boxed()))
 
     def __str__(self):
-        if not self.entries:
+        if not self.r * self.c:
             return f"<empty {self.r}x{self.c} matrix>"
         cells = [[str(x) for x in self.row(i)] for i in range(self.r)]
         width = max(len(s) for row in cells for s in row)
@@ -122,33 +143,29 @@ class MinorVector:
         return len(self.values)
 
 
-def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
-    """One fraction-free Gauss-Jordan pass over plain ints.
+def _eliminate(M: ExactMatrix, full: bool) -> tuple[list[list[int]], list[int], int, bool, int]:
+    """One fraction-free elimination over the int rows of M.
 
-    Over Q each row is first multiplied by the lcm of its denominators and
-    ``scale`` is the product of those lcms; over GF(p) the rows are the
-    residues and ``scale`` is 1.  At each pivot d, every other row becomes
-    (d*x - f*y) / prev, with f its entry in the pivot column, y the pivot
-    row's entry and prev the previous pivot.  Over Q every entry stays a
-    minor of the scaled matrix, so the division is exact (Bareiss 1968);
-    over GF(p) it is one inverse per pivot.  A column without a nonzero
-    entry at or below the current row is skipped.
+    Each row is first put in lowest terms (a slice may not need all of its
+    row's denominator); ``scale`` is the product of the denominators left.
+    At each pivot d, a row becomes (d*x - f*y) / prev, with f its entry in
+    the pivot column, y the pivot row's entry and prev the previous pivot.
+    Over Q every entry stays a minor of the numerator matrix, so the
+    division is exact (Bareiss 1968); over GF(p) it is one inverse per
+    pivot.  A column without a nonzero entry at or below the current row
+    is skipped.  With ``full``, every other row is updated in every column
+    (Gauss-Jordan), and pivot row i ends up holding last_pivot in column
+    pivots[i] and zero in the other pivot columns.  Without it, only the
+    rows below the pivot are updated, right of its column; same pivots.
 
-    Returns (rows, pivots, last_pivot, parity, scale).  Pivot row i holds
-    last_pivot in column pivots[i] and zero in the other pivot columns.
-    On the pivot columns, the scaled rows have determinant
-    (-1)^parity * last_pivot, the empty product giving 1.
+    Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
+    columns, the numerator rows have determinant (-1)^parity * last_pivot,
+    the empty product giving 1.
     """
     p = M.field.p
-    if p is None:
-        rows, scale = [], 1
-        for i in range(M.r):
-            row = M.row(i)
-            lcm = math.lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (lcm // x.denominator) for x in row])
-            scale *= lcm
-    else:
-        rows, scale = [[x.residue for x in M.row(i)] for i in range(M.r)], 1
+    gs = [math.gcd(den, *row) for row, den in zip(M.nums, M.dens)]
+    rows = [[x // g for x in row] if g > 1 else row for row, g in zip(M.nums, gs)]
+    scale = math.prod(den // g for den, g in zip(M.dens, gs))
     pivots: list[int] = []
     prev, parity = 1, False
     for col in range(M.c):
@@ -164,14 +181,16 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
         top = rows[k]
         d = top[col]
         inv = None if p is None else pow(prev, -1, p)
-        for i, row in enumerate(rows):
+        lo = 0 if full else col + 1
+        for i in range(0 if full else k + 1, M.r):
             if i == k:
                 continue
-            f = row[col]
+            row = rows[i]
+            f, pairs = row[col], zip(row[lo:], top[lo:])
             if p is None:
-                rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+                rows[i] = row[:lo] + [(d * x - f * y) // prev for x, y in pairs]
             else:
-                rows[i] = [(d * x - f * y) * inv % p for x, y in zip(row, top)]
+                rows[i] = row[:lo] + [(d * x - f * y) * inv % p for x, y in pairs]
         pivots.append(col)
         prev = d
     return rows, pivots, prev, parity, scale
@@ -189,7 +208,7 @@ def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) 
 
 def rank(M: ExactMatrix) -> int:
     """Exact rank: the number of pivots."""
-    return len(_eliminate(M)[1])
+    return len(_eliminate(M, full=False)[1])
 
 
 def determinant(M: ExactMatrix) -> Scalar:
@@ -197,7 +216,7 @@ def determinant(M: ExactMatrix) -> Scalar:
     without a full pivot set.  The empty 0x0 matrix has determinant 1."""
     if M.r != M.c:
         raise ShapeMismatch(f"determinant of a {M.r}x{M.c} matrix")
-    _, pivots, last, parity, scale = _eliminate(M)
+    _, pivots, last, parity, scale = _eliminate(M, full=False)
     if len(pivots) < M.r:
         return M.field.zero
     return M.field.from_int(-last if parity else last) / M.field.from_int(scale)
@@ -209,7 +228,7 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     Deterministic: free columns are taken in increasing index order and each
     vector is scaled so its first nonzero coordinate is 1.
     """
-    rows, pivots, last, _, _ = _eliminate(M)
+    rows, pivots, last, _, _ = _eliminate(M, full=True)
     field = M.field
     basis = []
     for f in [c for c in range(M.c) if c not in pivots]:
@@ -232,7 +251,7 @@ def signed_minors(M: ExactMatrix) -> MinorVector:
     """
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
-    rows, pivots, last, parity, scale = _eliminate(M)
+    rows, pivots, last, parity, scale = _eliminate(M, full=True)
     field = M.field
     if len(pivots) < M.r:
         return MinorVector(tuple([field.zero] * M.c))

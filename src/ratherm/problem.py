@@ -6,12 +6,13 @@ parameter k.  The value convention is Taylor-like throughout: the wanted
 j-th derivative of A/B at u_i is j! * v[i][j].
 
 Every structured matrix is an index selection of one n x (2n+2)
-``master_matrix`` per instance.  ``build_matrix(data, alpha, beta)`` takes
-its left columns 0..alpha and right columns 0..beta; its kernel at
-(alpha, beta) = (k-1, n-k) is exactly the solution space of the linearized
-problem ``whip_residual`` measures, without reading any matrix.  Either
-side may be empty (alpha = -1 or beta = -1), which the square-minor
-machinery at the extreme column counts relies on.
+``master_matrix`` per instance, built in int arithmetic without boxed
+scalars.  ``build_matrix(data, alpha, beta)`` takes its left columns
+0..alpha and right columns 0..beta; its kernel at (alpha, beta) =
+(k-1, n-k) is exactly the solution space of the linearized problem
+``whip_residual`` measures, without reading any matrix.  Either side may
+be empty (alpha = -1 or beta = -1), which the square-minor machinery at
+the extreme column counts relies on.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
-from .field import FieldConfig, Scalar, binomial, infer_field
+from .field import FieldConfig, Scalar, infer_field
 from .linalg import ExactMatrix
 from .polynomial import Poly, derivative, evaluate
 
@@ -185,22 +186,33 @@ def master_matrix(data: HermiteData) -> ExactMatrix:
     Row (i, j), in block order, holds j-th Taylor coefficients at u_i: of x^l
     in left column l, C(l, j) u_i^(l-j), and of -V x^l in right column
     n+1+l, the convolution of the left column with v_i.  l runs over 0..n.
-    Built once per instance and cached on it.
+    Built once per instance in int arithmetic and cached on it.  Over Q,
+    with u_i = a/b and D the lcm of the denominators of v_i, the row is
+    over b^n D (left entry C(l, j) a^(l-j) b^(n-l+j) D), then divided by its
+    content; over GF(p) it is computed on residues.
     """
     if data._master is None:
-        field, cols = data.field, range(data.n + 1)
-        C = [[binomial(l, j, field) for l in cols] for j in range(max(data.n_vec))]
-        rows = []
+        n, p, cols = data.n, data.field.p, range(data.n + 1)
+        nums, dens = [], []
         for ui, vi in zip(data.u, data.v):
-            pw = [ui**e for e in cols]
-            # C[j][l] is zero for j > l, whatever power stands beside it
-            left = [[C[j][l] * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
+            if p is None:
+                a, b = ui.numerator, ui.denominator
+                D = math.lcm(*(x.denominator for x in vi))
+                w = [x.numerator * D // x.denominator for x in vi]
+                pw = [a**e * b ** (n - e) for e in cols]
+            else:
+                b, D, w = 1, 1, [x.residue for x in vi]
+                pw = [pow(ui.residue, e, p) for e in cols]
+            # C(l, j) is zero for j > l, whatever power stands beside it
+            left = [[math.comb(l, j) * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
             for j, row in enumerate(left):
-                right = [field.zero] * len(cols)
-                for t in range(j + 1):
-                    right = [x - y * vi[j - t] for x, y in zip(right, left[t])]
-                rows.append(row + right)
-        object.__setattr__(data, "_master", ExactMatrix(rows, field))
+                conv = [-sum(left[t][l] * w[j - t] for t in range(j + 1)) for l in cols]
+                scaled = [x * D for x in row] + conv
+                g = math.gcd(b**n * D, *scaled)  # 1 over GF(p)
+                nums.append([x // g if p is None else x % p for x in scaled])
+                dens.append(b**n * D // g)
+        master = ExactMatrix.from_ints(nums, dens, 2 * n + 2, data.field)
+        object.__setattr__(data, "_master", master)
     return data._master
 
 

@@ -76,13 +76,15 @@ def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[i
     Appending the evaluation functional B |-> B(u_i) as an extra row leaves
     the rank unchanged exactly when every kernel element already satisfies
     it, i.e. when the minimal denominator vanishes at node i.  The master
-    row of (u_i, order 0) carries the powers u_i^l in its left columns.
+    row of (u_i, order 0) carries the powers u_i^l in its left columns; it
+    joins M's int rows with its own denominator.
     """
     master, roots = master_matrix(data), []
     for i in range(data.l):
-        powers = master.row(sum(data.n_vec[:i]))[: data.n - data.k + 1]
-        row = [data.field.zero] * data.k + list(powers)
-        if rank(ExactMatrix(M.rows_list() + [row], data.field)) == r:
+        at = sum(data.n_vec[:i])
+        row = [0] * data.k + master.nums[at][: data.n - data.k + 1]
+        ext = ExactMatrix.from_ints(M.nums + [row], M.dens + [master.dens[at]], M.c, data.field)
+        if rank(ext) == r:
             roots.append(i)
     return roots
 

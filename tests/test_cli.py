@@ -230,6 +230,24 @@ def test_malformed_document_is_input_error(tmp_path, capsys, doc):
     assert json.loads(err)["kind"] == "InvalidInput"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--method", "bogus"], ["sample", "--shape", "2,1", "--k", "x"], []],
+    ids=["bad-choice", "bad-int", "no-command"],
+)
+def test_bad_flags_are_input_error(capsys, argv):
+    code, out, err = run_json(capsys, argv)
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "InvalidInput"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: ratherm" in capsys.readouterr().out
+
+
 def test_foreign_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def boom(data):
         raise TypeError("synthetic failure")
@@ -292,6 +310,18 @@ def test_minors_t_range(tmp_path, capsys):
     assert code == 1
     code, _, err = run_json(capsys, ["minors", "--input", path, "--t-max", "9"])
     assert code == 1
+
+
+def test_minors_t_min_zero(tmp_path, capsys):
+    path = write_doc(tmp_path, GOLDEN_DOC)
+    code, out, _ = run_json(
+        capsys, ["minors", "--input", path, "--t-min", "0", "--t-max", "1"]
+    )
+    assert code == 0
+    assert sorted(out["minors"]) == ["0", "1"]
+    assert len(out["minors"]["0"]["values"]) == 4
+    # minor vectors are indexed from 1: there is no Delta_{0,0}
+    assert list(out["diagonal"]) == ["1"]
 
 
 # ---------------------------------------------------------------- eea-trace

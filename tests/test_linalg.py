@@ -18,6 +18,8 @@ from ratherm import (
     rank,
     signed_minors,
 )
+from ratherm.problem import build_matrix, build_submatrix_i
+from ratherm.verify import random_data
 
 RAT = FieldConfig.rationals()
 GF7 = FieldConfig.prime(7)
@@ -85,6 +87,24 @@ def test_select():
     assert rank(empty) == 0
     assert kernel_basis(empty) == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     assert m.select([1], []).rows_list() == [[]] and m.select([1], []).c == 0
+
+
+@pytest.mark.parametrize("field", [RAT, GF7], ids=["Q", "GF7"])
+def test_master_slices_rebuild(field):
+    """Slices of the int-built master equal the matrices rebuilt from their
+    boxed rows, and eliminate to the same rank, kernel and determinant."""
+    rng = random.Random(61)
+    for shape, k in [((3, 2, 2), 4), ((4, 1), 2), ((2, 2, 2, 1), 3)]:
+        d = random_data(rng, shape, k, field)
+        slices = [build_matrix(d, a, d.n - 2 - a) for a in range(-1, d.n)]
+        slices += [build_matrix(d, k - 1, d.n - k), build_submatrix_i(d, k - 1, d.n - k, 1)]
+        for S in slices:
+            T = ExactMatrix(S.rows_list(), S.field)
+            assert T == S and hash(T) == hash(S)
+            assert rank(T) == rank(S)
+            assert kernel_basis(T) == kernel_basis(S)
+            if S.r == S.c:
+                assert determinant(T) == determinant(S)
 
 
 def test_mul_vector():

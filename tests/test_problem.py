@@ -161,12 +161,30 @@ def check_against_taylor(d, alpha, beta):
 
 def test_build_matrix_taylor_oracle():
     rng = random.Random(47)
-    for field in (RAT, GF13):
-        for shape, k in [((2, 1), 2), ((3,), 2), ((2, 2), 3)]:
-            d = random_data(rng, shape, k, field)
-            for alpha in range(-1, d.n + 1):
-                for beta in range(-1, d.n + 1):
-                    check_against_taylor(d, alpha, beta)
+    cases = [
+        random_data(rng, shape, k, field)
+        for field in (RAT, GF13)
+        for shape, k in [((2, 1), 2), ((3,), 2), ((2, 2), 3)]
+    ]
+    F = Fraction
+    cases += [
+        # a zero node (0^0 = 1), a negative node, node denominators above 10,
+        # zero values and values with mixed denominators
+        HermiteData(
+            (0, F(-7, 11), F(5, 13)),
+            (3, 2, 1),
+            ((F(3, 14), 0, F(-5, 21)), (0, F(1, 6)), (F(-9, 17),)),
+            3,
+            RAT,
+        ),
+        # multiplicity p, so that some C(l, j) vanish mod p
+        HermiteData((0, 1), (2, 2), ((1, 0), (1, 1)), 2, FieldConfig.prime(2)),
+        HermiteData((2, 0), (3, 3), ((1, 2, 0), (0, 0, 1)), 3, FieldConfig.prime(3)),
+    ]
+    for d in cases:
+        for alpha in range(-1, d.n + 1):
+            for beta in range(-1, d.n + 1):
+                check_against_taylor(d, alpha, beta)
 
 
 def test_build_matrix_empty_sides(golden):
