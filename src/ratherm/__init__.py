@@ -30,7 +30,6 @@ from .field import (
     FieldConfig,
     PrimeFieldElement,
     Scalar,
-    binomial,
     infer_field,
 )
 from .linalg import (
@@ -76,7 +75,6 @@ from .solvers import (
 )
 from .strata import (
     StratumReport,
-    b1_closed_form_check,
     classify_by_rank,
     stratum_equations,
 )
@@ -84,7 +82,6 @@ from .verify import (
     IdentitySpec,
     brute_force_kernel,
     check_identity,
-    disputed_variants,
     paper_identity_catalog,
     sample_stratum,
 )

@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .field import RATIONALS, FieldConfig
+from .field import RATIONALS, FieldConfig, parse_json_int
 from .polynomial import Poly, eea, gcd, hermite_interpolant, product_F, terminal_row
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
 from .solvers import (
@@ -99,7 +99,7 @@ def _load_document(args) -> HermiteData:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    obj = json.loads(text, parse_int=parse_json_int)
     if args.field is not None:
         override = _parse_field_flag(args.field)
         if not isinstance(obj, dict):
@@ -166,8 +166,7 @@ def _classifications_agree(outcomes: list) -> bool:
     )
 
 
-def cmd_solve(args) -> int:
-    data = _load_document(args)
+def cmd_solve(args, data: HermiteData) -> int:
     methods = ("kernel", "eea", "minors") if args.method == "all" else (args.method,)
     outcomes = [_run_method(data, m) for m in methods]
     agreement = _classifications_agree(outcomes)
@@ -204,8 +203,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if cls.solvable else EXIT_UNATTAINABLE
 
 
-def cmd_classify(args) -> int:
-    data = _load_document(args)
+def cmd_classify(args, data: HermiteData) -> int:
     by_rank = classify_by_rank(data)
     by_eq = stratum_equations(data)
     agrees = (
@@ -232,8 +230,7 @@ def cmd_classify(args) -> int:
     return EXIT_UNATTAINABLE if by_eq.unattainable else EXIT_OK
 
 
-def cmd_minors(args) -> int:
-    data = _load_document(args)
+def cmd_minors(args, data: HermiteData) -> int:
     n = data.n
     t_min = args.t_min if args.t_min is not None else 1
     t_max = args.t_max if args.t_max is not None else n + 1
@@ -267,8 +264,7 @@ def cmd_minors(args) -> int:
     return EXIT_OK
 
 
-def cmd_eea_trace(args) -> int:
-    data = _load_document(args)
+def cmd_eea_trace(args, data: HermiteData) -> int:
     G = hermite_interpolant(data)
     F = product_F(data)
     out = {"F": F.to_json(), "G": G.to_json(), "interpolant_zero": G.is_zero}
@@ -435,15 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        document = (_load_document(args),) if "input" in args else ()
+        # Inputs are parsed under the interpreter's digit limit; exact
+        # results are printed in full, however many digits they have.
+        sys.set_int_max_str_digits(0)
+        return args.func(args, *document)
     except Exception as exc:
         print(
             json.dumps({"error": str(exc), "kind": type(exc).__name__}),
             file=sys.stderr,
         )
         return EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ ints because residue classes contain many of them.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +29,10 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first 13 prime bases decide primality below 3317044064679887385961981.
 _MR_LIMIT = 33 * 10**23
+# Most decimal digits of a parsed integer, numerator or denominator.
+MAX_DIGITS = 4300
+# Fraction's literals: "a/b", or "a.b" with exponent e, ab * 10^e over 10^len(b).
+_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?)\s*", re.I)
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +60,24 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_digits(text: str) -> None:
+    """Reject an integer or rational literal whose numerator or denominator
+    has more than MAX_DIGITS digits before reducing.  Counted on the text,
+    so a huge exponent is never raised to its power of ten."""
+    m = _LITERAL.fullmatch(text)
+    a, den, b, e = ((g or "").replace("_", "") for g in m.groups()) if m else ("",) * 4
+    sign, e = (-1 if e.startswith("-") else 1), e.lstrip("+-0")
+    shift = sign * (int(e or 0) if len(e) < 10 else 10**9)  # 10**9: past any cap
+    if max(len(a) + len(b) + max(shift, 0), len(den), len(b) + max(-shift, 0) + 1) > MAX_DIGITS:
+        raise InvalidInput(f"a literal has more than MAX_DIGITS = {MAX_DIGITS} digits")
+
+
+def parse_json_int(text: str) -> int:
+    """A JSON integer literal, its digits counted before it is built."""
+    _check_digits(text)
+    return int(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,10 +190,6 @@ class FieldConfig:
         return cls(p)
 
     @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
-    @property
     def zero(self) -> Scalar:
         return self.from_int(0)
 
@@ -221,6 +239,7 @@ class FieldConfig:
             if isinstance(obj, int):
                 return Fraction(obj)
             if isinstance(obj, str):
+                _check_digits(obj)
                 try:
                     return Fraction(obj)
                 except (ValueError, ZeroDivisionError) as exc:
@@ -262,10 +281,3 @@ def infer_field(scalars) -> FieldConfig:
         if isinstance(x, Fraction):
             return RATIONALS
     return RATIONALS
-
-
-def binomial(k: int, j: int, field: FieldConfig = RATIONALS) -> Scalar:
-    """Binomial coefficient as a Scalar; zero when j > k."""
-    if k < 0 or j < 0:
-        raise InvalidInput("binomial arguments must be nonnegative")
-    return field.from_int(math.comb(k, j))

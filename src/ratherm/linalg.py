@@ -2,9 +2,9 @@
 maximal minors, all read off one fraction-free elimination on plain ints,
 and submatrices by index selection.  An :class:`ExactMatrix` stores int
 rows (numerators over one row denominator over Q, residues over GF(p));
-boxed scalars are built lazily, when entries are read, compared, hashed or
-printed, and for returned values.  ``rank`` and ``determinant`` eliminate
-forward only; ``kernel_basis`` and ``signed_minors`` run Gauss-Jordan.
+a row is boxed into field scalars only when it is read, and so are
+returned values.  ``rank`` and ``determinant`` eliminate forward only;
+``kernel_basis`` and ``signed_minors`` run Gauss-Jordan.
 
 Row and column indices are 0-based everywhere in this module; the 1-based
 minor positions quoted by callers live in :class:`MinorVector`, whose
@@ -29,7 +29,7 @@ class ExactMatrix:
     over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.
     """
 
-    __slots__ = ("r", "c", "field", "nums", "dens", "_entries")
+    __slots__ = ("r", "c", "field", "nums", "dens")
 
     def __init__(self, rows: Iterable[Iterable], field: Optional[FieldConfig] = None):
         raw = [list(row) for row in rows]
@@ -44,8 +44,7 @@ class ExactMatrix:
             nums = [[x.numerator * d // x.denominator for x in row] for row, d in zip(boxed, dens)]
         else:
             nums, dens = [[x.residue for x in row] for row in boxed], [1] * len(boxed)
-        entries = tuple(x for row in boxed for x in row)
-        self._fill(widths.pop() if widths else 0, field, nums, dens, entries)
+        self._fill(widths.pop() if widths else 0, field, nums, dens)
 
     @classmethod
     def from_ints(cls, nums: list, dens: list, c: int, field: FieldConfig) -> "ExactMatrix":
@@ -54,25 +53,18 @@ class ExactMatrix:
         out._fill(c, field, nums, dens)
         return out
 
-    def _fill(self, c: int, field: FieldConfig, nums: list, dens: list, entries=None):
-        for name, value in zip(self.__slots__, (len(nums), c, field, nums, dens, entries)):
+    def _fill(self, c: int, field: FieldConfig, nums: list, dens: list):
+        for name, value in zip(self.__slots__, (len(nums), c, field, nums, dens)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    def _boxed(self) -> tuple:
-        """The entries as field scalars, row by row; built on first use."""
-        if self._entries is None:
-            if self.field.p is None:
-                flat = (Fraction(x, d) for row, d in zip(self.nums, self.dens) for x in row)
-            else:
-                flat = (self.field.from_int(x) for row in self.nums for x in row)
-            object.__setattr__(self, "_entries", tuple(flat))
-        return self._entries
-
     def row(self, i: int) -> tuple:
-        return self._boxed()[i * self.c : (i + 1) * self.c]
+        """Row i as field scalars, boxed on each call."""
+        if self.field.p is None:
+            return tuple(Fraction(x, self.dens[i]) for x in self.nums[i])
+        return tuple(map(self.field.from_int, self.nums[i]))
 
     def rows_list(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.r)]
@@ -97,12 +89,12 @@ class ExactMatrix:
             return (
                 self.field == other.field
                 and (self.r, self.c) == (other.r, other.c)
-                and self._boxed() == other._boxed()
+                and all(self.row(i) == other.row(i) for i in range(self.r))
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.r, self.c, self._boxed()))
+        return hash((self.field, self.r, self.c, *map(self.row, range(self.r))))
 
     def __str__(self):
         if not self.r * self.c:
@@ -123,12 +115,10 @@ class MinorVector:
 
     ``values`` holds n+1 scalars; the 1-based position i carries the signed
     i-th maximal minor, so at full rank the vector lies in the kernel of the
-    matrix.  ``t`` is optional bookkeeping for minors of a structured family
-    (the owner records which member the vector came from).
+    matrix.
     """
 
     values: tuple
-    t: Optional[int] = None
 
     def value_at(self, i: int) -> Scalar:
         """1-based accessor matching written minor indices."""

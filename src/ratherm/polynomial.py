@@ -203,10 +203,6 @@ class Poly:
     def to_json(self):
         return [self.field.format_scalar(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, obj, field: FieldConfig) -> "Poly":
-        return cls([field.parse_scalar(c) for c in obj], field)
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -70,12 +70,8 @@ class HermiteData:
         if not 1 <= k <= n:
             raise InvalidInput(f"k = {k} outside 1..{n}")
         field.require_characteristic(n_vec)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "n_vec", n_vec)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_master", None)
+        for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermiteData is immutable")

@@ -112,8 +112,8 @@ def minor_vector(data: HermiteData, t: int) -> MinorVector:
         raise InternalInconsistency(f"minor family index t = {t} outside 0..n+1")
     raw = signed_minors(build_matrix(data, t - 1, data.n - t))
     if t % 2 == 0:
-        return MinorVector(tuple(-x for x in raw.values), t)
-    return MinorVector(raw.values, t)
+        return MinorVector(tuple(-x for x in raw.values))
+    return raw
 
 
 def diagonal_minor(data: HermiteData, t: int) -> "Scalar":

@@ -5,20 +5,21 @@ The unattainable set decomposes by defect j into strata of odd codimension
 picture two independent ways: ``classify_by_rank`` uses nothing but ranks
 of shrunken and row/column-deleted matrices, and ``stratum_equations``
 evaluates the closed-form chart polynomials whose zero sets cut the strata
-out.  Both emit a :class:`StratumReport`; agreement with the solver routes
-is enforced by the test suite on every instance it touches.
+out, reading witnesses with the solvers' node test.  Both emit a
+:class:`StratumReport`; agreement with the solver routes, and with the
+closed form of the first stratum on shape (2,1), is enforced by the test
+suite on every instance it touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, ShapeMismatch
+from .errors import InternalInconsistency
 from .field import Scalar
 from .linalg import ExactMatrix, rank
-from .polynomial import evaluate
 from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix
-from .solvers import chart_pair, diagonal_minor, find_defect
+from .solvers import chart_pair, diagonal_minor, find_defect, witness_nodes
 
 
 @dataclass(frozen=True)
@@ -148,28 +149,10 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     _, B = chart_pair(data, j, upper=not cert_low)
     if B.is_zero:
         raise InternalInconsistency(f"certified chart denominator is zero on {data!r}")
-    witnesses = tuple(i for i, ui in enumerate(data.u) if not evaluate(B, ui))
+    witnesses = witness_nodes(data, B)
     return StratumReport(
         defect=j,
         chart=_chart_label(cert_low, cert_up),
         unattainable=bool(witnesses),
         witnesses=witnesses,
     )
-
-
-def b1_closed_form_check(data: HermiteData) -> bool:
-    """Shape (2,1), k = 2 only: compare the closed-form membership predicate
-    for the codimension-1 stratum against the rank classifier's verdict.
-
-    The stratum is {v10 = v20, v11 != 0} union {v11 = 0, v10 != v20}: equal
-    constant targets with a nonzero slope cannot be matched by a degree-1
-    over degree-1 fraction that stays finite at both nodes, and a zero slope
-    with distinct targets forces the denominator to vanish at a node.
-    """
-    if data.n_vec != (2, 1) or data.k != 2:
-        raise ShapeMismatch(f"closed form holds for shape (2,1), k=2; got {data!r}")
-    v10, v11 = data.v[0]
-    v20 = data.v[1][0]
-    same_value = not (v10 - v20)
-    predicted = (same_value and bool(v11)) or (not v11 and not same_value)
-    return predicted == classify_by_rank(data).unattainable

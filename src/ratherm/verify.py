@@ -6,8 +6,8 @@ the witness point.  A wrong polynomial identity survives such a trial only
 on its own zero set, which is measure-tiny against the sampling pool, so a
 zero-failure run over a hundred points is decisive in aggregate.
 
-The module also hosts the deliberately-naive kernel oracle used to
-cross-check the production elimination path, and the stratum sampler that
+The module also hosts the deliberately-naive kernel oracle, an independent
+null-space check for small matrices, and the stratum sampler that
 manufactures instances with a prescribed defect, optionally forced to be
 unattainable through a chosen node.
 """
@@ -25,9 +25,9 @@ from .errors import (
     InvalidInput,
     TooLarge,
 )
-from .field import RATIONALS, FieldConfig, Scalar, binomial
+from .field import RATIONALS, FieldConfig, Scalar
 from .linalg import ExactMatrix
-from .polynomial import Poly, gcd, rational_taylor
+from .polynomial import Poly, evaluate, gcd, rational_taylor
 from .problem import MAX_N, HermiteData, RationalSolution, whip_residual
 from .solvers import diagonal_minor, minor_vector, solve_kernel, solve_minors
 
@@ -152,13 +152,8 @@ def _chart_sum(t: int, first: int, last: int, node: int) -> Callable[[HermiteDat
 
     def f(data: HermiteData) -> Scalar:
         mv = minor_vector(data, t)
-        u = data.u[node]
-        acc = data.field.zero
-        power = data.field.one
-        for i in range(first, last + 1):
-            acc = acc + mv.value_at(i) * power
-            power = power * u
-        return acc
+        piece = Poly([mv.value_at(i) for i in range(first, last + 1)], data.field)
+        return evaluate(piece, data.u[node])
 
     return f
 
@@ -234,8 +229,8 @@ def _lower5_rhs(data: HermiteData) -> Scalar:
     pinned elsewhere (kernel membership of every minor vector plus the
     shape-(2,1) chart sums and the shape-(5,) upper chart sum, which all
     carry positive sign); no global per-matrix sign satisfies this entry
-    with the opposite orientation as well, so the opposite-sign form lives
-    in ``disputed_variants``.
+    with the opposite orientation as well, so the opposite-sign form is a
+    refuted variant, kept with the test oracles.
     """
     return -_lower5_expansion(data)
 
@@ -244,9 +239,9 @@ def paper_identity_catalog() -> tuple[IdentitySpec, ...]:
     """Closed forms of the small-shape minors and chart sums.
 
     Shape (2,1) with k = 2 (so n = 3, m = 1) and shape (5,) with k = 3
-    (n = 5, m = 2).  Every right-hand side was derived independently; two
-    natural-looking variants that do NOT hold are kept separately in
-    ``disputed_variants`` for the harness self-test.
+    (n = 5, m = 2).  Every right-hand side was derived independently;
+    natural-looking variants that do NOT hold are kept with the test
+    oracles, to show that ``check_identity`` rejects them.
     """
     return (
         IdentitySpec("diag2-shape21", (2, 1), 2, _diag(2), _d22_rhs, seed=101),
@@ -268,40 +263,6 @@ def paper_identity_catalog() -> tuple[IdentitySpec, ...]:
         IdentitySpec(
             "chartsum-lower-shape5", (5,), 3, _chart_sum(2, 3, 4, 0), _lower5_rhs,
             seed=108,
-        ),
-    )
-
-
-def _d33_variant_rhs(data: HermiteData) -> Scalar:
-    u1, u2 = data.u
-    return (u2 - u1) ** 2
-
-
-def _d11_variant_rhs(data: HermiteData) -> Scalar:
-    return data.field.zero
-
-
-def disputed_variants() -> tuple[IdentitySpec, ...]:
-    """Known-wrong closed forms for three catalog entries.
-
-    ``diag3-shape21-variant`` assigns Delta_{3,3} the value of its neighbor
-    Delta_{4,4}; ``diag1-shape21-variant`` claims Delta_{1,1} vanishes
-    identically; ``chartsum-lower-shape5-variant`` carries the true 12-term
-    expansion with the opposite global sign.  All are refuted by random
-    evaluation; they exist so the suite can demonstrate that the harness
-    rejects false identities, and because each is a natural transcription
-    slip worth guarding against.
-    """
-    return (
-        IdentitySpec(
-            "diag3-shape21-variant", (2, 1), 2, _diag(3), _d33_variant_rhs, seed=102
-        ),
-        IdentitySpec(
-            "diag1-shape21-variant", (2, 1), 2, _diag(1), _d11_variant_rhs, seed=104
-        ),
-        IdentitySpec(
-            "chartsum-lower-shape5-variant", (5,), 3, _chart_sum(2, 3, 4, 0),
-            _lower5_expansion, seed=108,
         ),
     )
 
@@ -364,35 +325,6 @@ def _random_poly(
     if any(not p(a) for a in nonzero_at):
         return None
     return p
-
-
-def specialized_vandermonde_data(
-    u: Sequence[Scalar],
-    n_vec: Sequence[int],
-    k: int,
-    field: FieldConfig = RATIONALS,
-) -> HermiteData:
-    """The substitution v_{i,j} = -C(k, j) u_i^(k-j) at given nodes.
-
-    Under it the full n x (n+1) matrix becomes the confluent Vandermonde
-    matrix of the monomials 1, x, ..., x^n (rows scaled by 1/j!), because
-    -sum_t C(l,t) v_{i,j-t} u_i^(l-t) collapses via the Vandermonde
-    convolution to C(k+l, j) u_i^(k+l-j).  Appending the row
-    (1, x, ..., x^n) to that matrix gives a determinant proportional to
-    prod (x - u_i)^(n_i), which is what the acceptance suite checks.
-    """
-    n_vec = tuple(int(x) for x in n_vec)
-    u = tuple(field.coerce(x) for x in u)
-    v = []
-    for i, ni in enumerate(n_vec):
-        row = []
-        for j in range(ni):
-            if j > k:
-                row.append(field.zero)
-            else:
-                row.append(-binomial(k, j, field) * u[i] ** (k - j))
-        v.append(tuple(row))
-    return HermiteData(u, n_vec, tuple(v), k, field)
 
 
 def _draw_plain(

@@ -22,12 +22,10 @@ from ratherm import (
     FieldConfig,
     HermiteData,
     Poly,
-    b1_closed_form_check,
     build_matrix,
     check_identity,
     classify_by_rank,
     diagonal_minor,
-    disputed_variants,
     eea,
     gcd,
     kernel_basis,
@@ -42,7 +40,9 @@ from ratherm import (
     terminal_row,
 )
 from ratherm.solvers import chart_pair, find_defect
-from ratherm.verify import random_data, random_nodes, specialized_vandermonde_data
+from ratherm.verify import random_data, random_nodes
+
+from oracles import b1_closed_form_check, disputed_variants, specialized_vandermonde_data
 
 RAT = FieldConfig.rationals()
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import random
+import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +14,14 @@ from ratherm import (
     FieldConfig,
     HermiteData,
     InternalInconsistency,
+    InvalidInput,
     Poly,
     rational_taylor,
     solve_kernel,
     taylor_prefix,
 )
 from ratherm.cli import main
+from ratherm.field import MAX_DIGITS
 from ratherm.problem import MAX_N
 from ratherm.verify import MAX_SAMPLES
 
@@ -470,3 +476,59 @@ def test_size_cap_is_input_error(tmp_path, capsys):
     code, out, err = run_json(capsys, ["sample", "--shape", shape, "--k", "2"])
     assert (code, out) == (1, None)
     assert json.loads(err)["kind"] == "TooLarge"
+
+
+# ------------------------------------------------------------ digit limits
+
+
+def test_long_json_integer_is_input_error(tmp_path, capsys):
+    # a JSON integer literal over MAX_DIGITS, never built by the parser
+    limit = sys.get_int_max_str_digits()
+    p = tmp_path / "long.json"
+    p.write_text(
+        '{"field": "Q", "k": 2, "nodes": [{"u": %s, "values": ["1"]}, '
+        '{"u": "2", "values": ["1"]}]}' % ("1" * (MAX_DIGITS + 100))
+    )
+    code, out, err = run_json(capsys, ["solve", "--input", str(p)])
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "InvalidInput"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("literal", ["1e100000", "1e1000000", "1e999999999", "-2.5e-999999999"])
+def test_huge_exponent_literal_is_input_error(tmp_path, capsys, literal):
+    doc = {"field": "Q", "k": 1, "nodes": [{"u": literal, "values": ["1"]}]}
+    t0 = time.perf_counter()
+    code, out, err = run_json(capsys, ["classify", "--input", write_doc(tmp_path, doc)])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "InvalidInput"
+
+
+def test_literal_digit_cap_boundary():
+    assert RAT.parse_scalar(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    assert RAT.parse_scalar(f"-1.5e-{MAX_DIGITS - 2}") == Fraction(-15, 10 ** (MAX_DIGITS - 1))
+    for literal in (f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}", f"1.5e{MAX_DIGITS - 1}",
+                    "7" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)):
+        with pytest.raises(InvalidInput):
+            RAT.parse_scalar(literal)
+
+
+@pytest.mark.parametrize("command", ["solve", "classify", "minors", "eea-trace"])
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_results_past_the_digit_limit_print_in_full(tmp_path, capsys, command, fmt):
+    # 3000-digit values are valid input; products of them pass 4300 digits
+    rng = random.Random(1)
+    nodes = [{"u": str(u), "values": [str(rng.randrange(10**2999, 10**3000))]} for u in (1, 2, 3)]
+    path = write_doc(tmp_path, {"field": "Q", "k": 2, "nodes": nodes})
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        code = main([command, "--input", path, "--format", fmt])
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert code in (0, 3) and captured.err == ""
+    if command != "classify" or fmt == "json":
+        assert max(map(len, re.findall(r"\d+", captured.out))) > 4321

@@ -218,7 +218,7 @@ def test_signed_minors_shape_guard():
 
 
 def test_minor_vector_accessor():
-    mv = MinorVector((Fraction(1), Fraction(2)), 1)
+    mv = MinorVector((Fraction(1), Fraction(2)))
     assert mv.value_at(1) == Fraction(1)
     assert len(mv) == 2
     with pytest.raises(ShapeMismatch):

@@ -246,10 +246,10 @@ def test_rational_taylor_reconstructs_series():
 
 def test_poly_json_round_trip():
     for p in (P(), P(1, 0, Fraction(2, 3)), P(-5)):
-        assert Poly.from_json(p.to_json(), RAT) == p
+        assert Poly([RAT.parse_scalar(c) for c in p.to_json()], RAT) == p
     assert P().to_json() == []
     q = Poly((1, 5), GF13)
-    assert Poly.from_json(q.to_json(), GF13) == q
+    assert Poly([GF13.parse_scalar(c) for c in q.to_json()], GF13) == q
 
 
 def test_str_smoke():

@@ -11,13 +11,14 @@ from ratherm import (
     HermiteData,
     Poly,
     ShapeMismatch,
-    b1_closed_form_check,
     classify_by_rank,
     rational_taylor,
     solve_kernel,
     stratum_equations,
 )
 from ratherm.strata import diagonal_window
+
+from oracles import b1_closed_form_check
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -50,7 +51,7 @@ DEGENERATE = [
 
 
 def random_data(rng, shape, k, field=RAT):
-    pool = range(0, field.p) if field.is_prime_field else range(-6, 7)
+    pool = range(0, field.p) if field.p is not None else range(-6, 7)
     u = rng.sample(pool, len(shape))
     v = tuple(
         tuple(field.from_int(rng.randint(-6, 6)) for _ in range(ni)) for ni in shape

@@ -17,7 +17,6 @@ from ratherm import (
     brute_force_kernel,
     build_matrix,
     check_identity,
-    disputed_variants,
     kernel_basis,
     minor_vector,
     paper_identity_catalog,
@@ -31,8 +30,9 @@ from ratherm.verify import (
     random_nodes,
     random_nonzero_scalar,
     random_scalar,
-    specialized_vandermonde_data,
 )
+
+from oracles import disputed_variants, specialized_vandermonde_data
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
