@@ -34,7 +34,6 @@ from .field import (
 )
 from .linalg import (
     ExactMatrix,
-    MinorVector,
     determinant,
     kernel_basis,
     rank,
@@ -44,7 +43,6 @@ from .polynomial import (
     MINUS_INFINITY,
     EEARow,
     Poly,
-    derivative,
     eea,
     evaluate,
     gcd,

@@ -245,14 +245,13 @@ def cmd_minors(args, data: HermiteData) -> int:
     for t in range(t_min, t_max + 1):
         mv = minor_vector(data, t)
         M = build_matrix(data, t - 1, n - t)
-        annihilates = not any(M.mul_vector(mv.values))
+        annihilates = not any(M.mul_vector(mv))
         table[str(t)] = {
-            "values": {str(i): fmt(mv.value_at(i)) for i in range(1, n + 2)},
+            "values": {str(i): fmt(x) for i, x in enumerate(mv, 1)},
             "annihilates": annihilates,
         }
         pretty.append(
-            f"t={t}: ({', '.join(str(mv.value_at(i)) for i in range(1, n + 2))})"
-            f"  annihilates={annihilates}"
+            f"t={t}: ({', '.join(map(str, mv))})  annihilates={annihilates}"
         )
     # minor vectors are indexed from 1, so there is no Delta_{0,0}
     diag = {t: diagonal_minor(data, t) for t in range(max(t_min, 1), t_max + 1)}

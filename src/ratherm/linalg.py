@@ -6,15 +6,14 @@ a row is boxed into field scalars only when it is read, and so are
 returned values.  ``rank`` and ``determinant`` eliminate forward only;
 ``kernel_basis`` and ``signed_minors`` run Gauss-Jordan.
 
-Row and column indices are 0-based everywhere in this module; the 1-based
-minor positions quoted by callers live in :class:`MinorVector`, whose
-``value_at`` accessor is 1-based to match the way minors are written.
+Row and column indices are 0-based everywhere in this module, and so are
+the positions of a signed-minor tuple: the minor written with 1-based
+column i sits at position i-1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -26,7 +25,8 @@ class ExactMatrix:
     """Immutable dense matrix over one exact field; r or c may be zero.
 
     Row i is the int list ``nums[i]`` over the positive int ``dens[i]``;
-    over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.
+    over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.  A
+    slice keeps its master row's denominator, so ``==`` compares entries.
     """
 
     __slots__ = ("r", "c", "field", "nums", "dens")
@@ -107,30 +107,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows_list()!r})"
-
-
-@dataclass(frozen=True)
-class MinorVector:
-    """All signed maximal minors of an r x (r+1) matrix.
-
-    ``values`` holds n+1 scalars; the 1-based position i carries the signed
-    i-th maximal minor, so at full rank the vector lies in the kernel of the
-    matrix.
-    """
-
-    values: tuple
-
-    def value_at(self, i: int) -> Scalar:
-        """1-based accessor matching written minor indices."""
-        if not (1 <= i <= len(self.values)):
-            raise ShapeMismatch(f"minor index {i} outside 1..{len(self.values)}")
-        return self.values[i - 1]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _eliminate(M: ExactMatrix, full: bool) -> tuple[list[list[int]], list[int], int, bool, int]:
@@ -228,10 +204,10 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     return basis
 
 
-def signed_minors(M: ExactMatrix) -> MinorVector:
-    """Signed maximal minors of an r x (r+1) matrix.
+def signed_minors(M: ExactMatrix) -> tuple:
+    """Signed maximal minors of an r x (r+1) matrix, as an (r+1)-tuple.
 
-    Position i (1-based) holds (-1)^(i+1) det(M with column i deleted); the
+    Position i-1 holds (-1)^(i+1) det(M with 1-based column i deleted); the
     alternation makes the vector a kernel member whenever rank(M) = r.  At
     full rank there is one free column f, and deleting it leaves the pivot
     columns, whose determinant the elimination already holds; so the vector
@@ -244,8 +220,8 @@ def signed_minors(M: ExactMatrix) -> MinorVector:
     rows, pivots, last, parity, scale = _eliminate(M, full=True)
     field = M.field
     if len(pivots) < M.r:
-        return MinorVector(tuple([field.zero] * M.c))
+        return (field.zero,) * M.c
     f = next(c for c in range(M.c) if c not in pivots)
     factor = field.from_int(-1 if (f + parity) % 2 else 1) / field.from_int(scale)
     v = _kernel_vector(M, rows, pivots, last, f)
-    return MinorVector(tuple(field.from_int(x) * factor for x in v))
+    return tuple(field.from_int(x) * factor for x in v)

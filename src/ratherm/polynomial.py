@@ -12,7 +12,6 @@ division, no symbolic quotient rule).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -38,10 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover
 MINUS_INFINITY = float("-inf")
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Poly:
     """Immutable dense polynomial over a fixed FieldConfig."""
 
-    __slots__ = ("coeffs", "field")
+    coeffs: tuple
+    field: FieldConfig
 
     def __init__(self, coeffs: Iterable = (), field: Optional[FieldConfig] = None):
         raw = list(coeffs)
@@ -52,9 +53,6 @@ class Poly:
             lifted.pop()
         object.__setattr__(self, "coeffs", tuple(lifted))
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, field: FieldConfig = RATIONALS) -> "Poly":
@@ -78,12 +76,6 @@ class Poly:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, l: int) -> Scalar:
-        """Coefficient of x^l (zero beyond the stored range)."""
-        if 0 <= l < len(self.coeffs):
-            return self.coeffs[l]
-        return self.field.zero
-
     def _join(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.field != self.field:
@@ -92,14 +84,6 @@ class Poly:
         if isinstance(other, (int, Fraction, PrimeFieldElement)):
             return Poly((self.field.coerce(other),), self.field)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -228,9 +212,6 @@ class Poly:
                 parts.append(f"- {term}" if neg else f"+ {term}")
         return " ".join(parts)
 
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
 
 @dataclass(frozen=True)
 class EEARow:
@@ -241,18 +222,6 @@ class EEARow:
     remainder: Poly
     bezout_s: Poly
     bezout_t: Poly
-
-
-def derivative(p: Poly, j: int = 1) -> Poly:
-    """j-th formal derivative."""
-    if j < 0:
-        raise ZeroInput("negative derivative order")
-    if j == 0:
-        return p
-    out = []
-    for l in range(j, len(p.coeffs)):
-        out.append(p.coeffs[l] * math.perm(l, j))
-    return Poly(out, p.field)
 
 
 def evaluate(p: Poly, x0) -> Scalar:
@@ -362,14 +331,21 @@ def product_F(data: "HermiteData") -> Poly:
 
 
 def taylor_prefix(p: Poly, x0, count: int) -> list[Scalar]:
-    """First ``count`` Taylor coefficients of p at x0 (synthetic division)."""
-    x0 = p.field.coerce(x0)
-    lin = Poly((-x0, 1), p.field)
-    out = []
-    cur = p
+    """First ``count`` Taylor coefficients c_j of p at x0, where
+    p = sum_j c_j (x - x0)^j; zero past deg p.
+
+    Repeated synthetic division by x - x0 on the coefficient list: each
+    Horner pass leaves the remainder p_j(x0) = c_j and the quotient p_{j+1}.
+    """
+    x0, zero = p.field.coerce(x0), p.field.zero
+    cur, out = list(p.coeffs), []
     for _ in range(count):
-        cur, r = divmod(cur, lin)
-        out.append(r.coeff(0))
+        acc, quot = zero, []
+        for c in reversed(cur):
+            acc = acc * x0 + c
+            quot.append(acc)
+        out.append(quot.pop() if quot else zero)
+        cur = quot[::-1]
     return out
 
 

@@ -17,19 +17,20 @@ the extreme column counts relies on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
 from .field import FieldConfig, Scalar, infer_field
 from .linalg import ExactMatrix
-from .polynomial import Poly, derivative, evaluate
+from .polynomial import Poly, evaluate, taylor_prefix
 
 # Largest accepted n = sum n_i; bounds the work of every command.
 MAX_N = 64
 
 
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class HermiteData:
     """Validated, immutable problem input.
 
@@ -38,7 +39,12 @@ class HermiteData:
     this API (reports and witness lists use the same convention).
     """
 
-    __slots__ = ("u", "n_vec", "v", "k", "field", "_master")
+    u: tuple
+    n_vec: tuple
+    v: tuple
+    k: int
+    field: FieldConfig
+    _master: Optional[ExactMatrix] = dataclasses.field(compare=False, repr=False)
 
     def __init__(self, u, n_vec, v, k: int, field: Optional[FieldConfig] = None):
         n_vec = tuple(int(x) for x in n_vec)
@@ -46,6 +52,9 @@ class HermiteData:
             raise InvalidInput("need at least one node")
         if any(ni < 1 for ni in n_vec):
             raise InvalidInput(f"multiplicities must be positive: {n_vec}")
+        n = sum(n_vec)
+        if n > MAX_N:
+            raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
         if field is None:
             field = infer_field(list(u) + [x for vi in v for x in vi])
         u = tuple(field.coerce(x) for x in u)
@@ -64,17 +73,11 @@ class HermiteData:
             for j in range(i + 1, len(u)):
                 if not (u[i] - u[j]):
                     raise DuplicateNodes(f"nodes {i} and {j} coincide")
-        n = sum(n_vec)
-        if n > MAX_N:
-            raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
         if not 1 <= k <= n:
             raise InvalidInput(f"k = {k} outside 1..{n}")
         field.require_characteristic(n_vec)
         for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermiteData is immutable")
 
     @property
     def l(self) -> int:
@@ -87,26 +90,6 @@ class HermiteData:
     @property
     def m(self) -> int:
         return min(self.k - 1, self.n - self.k)
-
-    def __eq__(self, other):
-        if isinstance(other, HermiteData):
-            return (
-                self.field == other.field
-                and self.u == other.u
-                and self.n_vec == other.n_vec
-                and self.v == other.v
-                and self.k == other.k
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.u, self.n_vec, self.v, self.k))
-
-    def __repr__(self):
-        return (
-            f"HermiteData(u={list(self.u)!r}, n_vec={self.n_vec!r}, "
-            f"v={[list(vi) for vi in self.v]!r}, k={self.k})"
-        )
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format_scalar
@@ -142,6 +125,11 @@ class HermiteData:
             raise InvalidInput(f"k must be an integer, got {k!r}")
         if not isinstance(nodes, list) or not nodes:
             raise InvalidInput("\"nodes\" must be a nonempty list")
+        # the cap comes before any per-node work: parsing, scaling, node checks
+        n = sum(len(e["values"]) for e in nodes
+                if isinstance(e, dict) and isinstance(e.get("values"), list))
+        if n > MAX_N:
+            raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
         u, n_vec, v = [], [], []
         for entry in nodes:
             if (
@@ -168,7 +156,7 @@ class HermiteData:
         return cls(u, n_vec, v, k, field)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RationalSolution:
     """A candidate pair (A, B), the fraction A/B."""
 
@@ -255,26 +243,29 @@ def build_submatrix_i(
 def whip_residual(data: HermiteData, sol: RationalSolution) -> list[Scalar]:
     """The n values A^(j)(u_i) - sum_t (j)_t v_{i,t} B^(j-t)(u_i), block order.
 
-    All zero exactly when (A, B) solves the linearized problem.  Each
-    derivative is formed once and evaluated once per node.
+    All zero exactly when (A, B) solves the linearized problem.  With a and
+    b the Taylor coefficients of A and B at u_i, A^(j)(u_i) = j! a_j and
+    (j)_t B^(j-t)(u_i) = j! b_{j-t}, so the value is computed as
+    j! (a_j - sum_t v_{i,t} b_{j-t}).
     """
-    field = data.field
-    orders = range(max(data.n_vec))
-    dA = [derivative(sol.A, j) for j in orders]
-    dB = [derivative(sol.B, j) for j in orders]
+    fact = [data.field.from_int(math.factorial(j)) for j in range(max(data.n_vec))]
     out = []
     for ui, vi in zip(data.u, data.v):
-        b = [evaluate(dB[j], ui) for j in range(len(vi))]
+        a = taylor_prefix(sol.A, ui, len(vi))
+        b = taylor_prefix(sol.B, ui, len(vi))
         for j in range(len(vi)):
-            acc = evaluate(dA[j], ui)
+            acc = a[j]
             for t in range(j + 1):
-                acc = acc - field.from_int(math.perm(j, t)) * vi[t] * b[j - t]
-            out.append(acc)
+                acc = acc - vi[t] * b[j - t]
+            out.append(fact[j] * acc)
     return out
+
+
+def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
+    """0-based node indices where the denominator B0 vanishes."""
+    return tuple(i for i, ui in enumerate(data.u) if not evaluate(B0, ui))
 
 
 def rhip_check(data: HermiteData, sol: RationalSolution) -> bool:
     """True iff the residual vanishes and B(u_i) != 0 at every node."""
-    if any(whip_residual(data, sol)):
-        return False
-    return all(evaluate(sol.B, ui) for ui in data.u)
+    return not any(whip_residual(data, sol)) and not witness_nodes(data, sol.B)

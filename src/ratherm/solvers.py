@@ -21,9 +21,9 @@ node test of ``_classify_minimal``:
 - ``solve_minors``: closed-form minimal pairs sliced out of signed-minor
   vectors, chart-selected by nonvanishing square minors on the diagonal.
 
-Minor indexing: ``minor_vector(data, t)`` holds the signed maximal minors
-Delta_{t,i} of the n x (n+1) matrix with degree bounds (t-1, n-t); entries
-are read 1-based via ``value_at``.  The sign convention is
+Minor indexing: ``minor_vector(data, t)`` is the tuple of signed maximal
+minors Delta_{t,i} of the n x (n+1) matrix with degree bounds (t-1, n-t),
+with Delta_{t,i} at position i-1.  The sign convention is
 Delta_{t,i} = (-1)^(t+i) det(delete column i), which makes each vector a
 kernel member at full rank and matches every closed form the identity
 catalog checks.
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import MinorVector, determinant, kernel_basis, rank, signed_minors
+from .linalg import determinant, kernel_basis, rank, signed_minors
 from .polynomial import Poly, evaluate, hermite_interpolant, product_F
-from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
+from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,12 @@ class Unattainable:
 Classification = Union[Solvable, Unattainable]
 
 
-def minor_vector(data: HermiteData, t: int) -> MinorVector:
+def minor_vector(data: HermiteData, t: int) -> tuple:
     """The signed minor vector (Delta_{t,1}, ..., Delta_{t,n+1})."""
     if not 0 <= t <= data.n + 1:
         raise InternalInconsistency(f"minor family index t = {t} outside 0..n+1")
     raw = signed_minors(build_matrix(data, t - 1, data.n - t))
-    if t % 2 == 0:
-        return MinorVector(tuple(-x for x in raw.values))
-    return raw
+    return tuple(-x for x in raw) if t % 2 == 0 else raw
 
 
 def diagonal_minor(data: HermiteData, t: int) -> "Scalar":
@@ -126,11 +124,6 @@ def diagonal_minor(data: HermiteData, t: int) -> "Scalar":
     if not 1 <= t <= data.n + 1:
         raise InternalInconsistency(f"diagonal minor index t = {t} outside 1..n+1")
     return determinant(build_matrix(data, t - 2, data.n - t))
-
-
-def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
-    """0-based node indices where the minimal denominator vanishes."""
-    return tuple(i for i, ui in enumerate(data.u) if not evaluate(B0, ui))
 
 
 def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classification:
@@ -257,16 +250,14 @@ def chart_pair(data: HermiteData, j: int, upper: bool) -> tuple[Poly, Poly]:
     # In-vector certificates: the lower chart's is its own diagonal entry;
     # the upper chart's Delta_{k+j,k+j} equals this vector's last entry up
     # to a sign, so nonvanishing may be read off without a second matrix.
-    cert = mv.value_at(n + 1) if upper else mv.value_at(k - j + 1)
-    A = Poly([mv.value_at(l + 1) for l in range(0, k - j + 1)], data.field)
+    cert = mv[n] if upper else mv[k - j]
+    A = Poly(mv[: max(k - j + 1, 0)], data.field)
     if upper:
-        B = Poly([mv.value_at(l + 1) for l in range(k + j - 1, n + 1)], data.field)
-        dead = [mv.value_at(l + 1) for l in range(max(0, k - j + 1), k + j - 1)]
+        B = Poly(mv[k + j - 1 :], data.field)
+        dead = mv[max(k - j + 1, 0) : k + j - 1]
     else:
-        B = Poly(
-            [mv.value_at(l + 1) for l in range(k - j + 1, n - 2 * j + 3)], data.field
-        )
-        dead = [mv.value_at(l + 1) for l in range(n - 2 * j + 3, n + 1)]
+        B = Poly(mv[k - j + 1 : n - 2 * j + 3], data.field)
+        dead = mv[n - 2 * j + 3 :]
     if cert and any(dead):
         raise InternalInconsistency(
             f"minor vector t = {t} has support outside the defect-{j} chart "

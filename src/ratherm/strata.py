@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import InternalInconsistency
 from .field import Scalar
 from .linalg import ExactMatrix, rank
-from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix
-from .solvers import chart_pair, diagonal_minor, find_defect, witness_nodes
+from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix, witness_nodes
+from .solvers import chart_pair, diagonal_minor, find_defect
 
 
 @dataclass(frozen=True)

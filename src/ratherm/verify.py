@@ -152,7 +152,7 @@ def _chart_sum(t: int, first: int, last: int, node: int) -> Callable[[HermiteDat
 
     def f(data: HermiteData) -> Scalar:
         mv = minor_vector(data, t)
-        piece = Poly([mv.value_at(i) for i in range(first, last + 1)], data.field)
+        piece = Poly(mv[first - 1 : last], data.field)
         return evaluate(piece, data.u[node])
 
     return f

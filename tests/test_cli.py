@@ -16,6 +16,7 @@ from ratherm import (
     InternalInconsistency,
     InvalidInput,
     Poly,
+    TooLarge,
     rational_taylor,
     solve_kernel,
     taylor_prefix,
@@ -476,6 +477,26 @@ def test_size_cap_is_input_error(tmp_path, capsys):
     code, out, err = run_json(capsys, ["sample", "--shape", shape, "--k", "2"])
     assert (code, out) == (1, None)
     assert json.loads(err)["kind"] == "TooLarge"
+
+
+def test_size_cap_comes_before_per_node_work(tmp_path, capsys):
+    # many nodes would cost a quadratic duplicate scan, many values a
+    # factorial each under --derivative-values; the cap refuses both first
+    nodes = [{"u": str(i), "values": ["1"]} for i in range(4000)]
+    many_nodes = {"field": "Q", "k": 1, "nodes": nodes}
+    many_values = {"field": "Q", "k": 1, "nodes": [{"u": "0", "values": ["1"] * 20000}]}
+    malformed = {"field": "Q", "k": 1, "nodes": nodes + [{"u": "x"}]}
+    for doc, flags in ((many_nodes, []), (many_values, ["--derivative-values"]), (malformed, [])):
+        path = write_doc(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run_json(capsys, ["solve", "--input", path, *flags])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, None)
+        assert json.loads(err)["kind"] == "TooLarge"
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        HermiteData(range(4000), (1,) * 4000, [(1,)] * 4000, 1, RAT)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------ digit limits

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ratherm import (
     ExactMatrix,
     FieldConfig,
-    MinorVector,
     ShapeMismatch,
     determinant,
     kernel_basis,
@@ -193,7 +192,7 @@ def test_signed_minors_against_cofactor_oracle():
             expected = det_cofactor(sub)
             if i % 2 == 0:
                 expected = -expected
-            assert mv.value_at(i) == expected
+            assert mv[i - 1] == expected
 
 
 def test_signed_minors_annihilate():
@@ -215,13 +214,3 @@ def test_signed_minors_shape_guard():
         signed_minors(M([[1, 2, 3]]))
     with pytest.raises(ShapeMismatch):
         signed_minors(M([[1], [2]]))
-
-
-def test_minor_vector_accessor():
-    mv = MinorVector((Fraction(1), Fraction(2)))
-    assert mv.value_at(1) == Fraction(1)
-    assert len(mv) == 2
-    with pytest.raises(ShapeMismatch):
-        mv.value_at(0)
-    with pytest.raises(ShapeMismatch):
-        mv.value_at(3)

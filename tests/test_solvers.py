@@ -35,7 +35,8 @@ from ratherm import (
     stratum_equations,
 )
 from ratherm.linalg import determinant
-from ratherm.solvers import chart_pair, find_defect, witness_nodes
+from ratherm.problem import witness_nodes
+from ratherm.solvers import chart_pair, find_defect
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -177,7 +178,7 @@ def test_minor_vector_entries_against_determinants():
                 )
                 if (t + i) % 2 == 1:
                     want = -want
-                assert mv.value_at(i) == want
+                assert mv[i - 1] == want
 
 
 def test_minor_vector_annihilates_its_matrix():
@@ -196,7 +197,7 @@ def test_diagonal_minor_matches_vector_diagonal():
     rng = random.Random(19)
     d = random_data(rng, (2, 2), 3)
     for t in range(1, d.n + 2):
-        assert diagonal_minor(d, t) == minor_vector(d, t).value_at(t)
+        assert diagonal_minor(d, t) == minor_vector(d, t)[t - 1]
 
 
 def test_minor_index_guards(golden):

@@ -1,9 +1,10 @@
 """Surface guard: ``src/ratherm`` keeps only what something other than the
 tests calls.
 
-A top-level function or class counts as called when another piece of
-``src/ratherm`` (``__init__.py`` and its own body aside) refers to it by
-name, when ``README.md`` documents it, or when ``perfbench/`` uses it.
+A top-level function or class, or a public method or property of a class,
+counts as called when another piece of ``src/ratherm`` (``__init__.py`` and
+its own body aside) refers to it by name, when ``README.md`` documents it,
+or when ``perfbench/`` uses it.
 Docstring mentions do not count.  Test oracles live in ``tests/``.
 """
 
@@ -53,18 +54,45 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(module, name, None)), f"ratherm.{layer}.{name}"
 
 
-def test_every_definition_has_a_caller():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    in_src = sum((_refs(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter())
+def _orphans(defs):
+    """Names among defs (qualified name -> node) with no caller outside their
+    own body: not in another piece of src/ratherm, README.md or perfbench/."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    in_src = sum(map(_refs, trees), Counter())
     readme = (ROOT / "README.md").read_text()
     perfbench = _perfbench_uses()
-    orphans = [
-        f"{path.stem}.{top.name}"
-        for path, tree in trees.items()
-        for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-        and in_src[top.name] == _refs(top)[top.name]  # no use outside its own body
-        and not re.search(rf"\b{top.name}\b", readme)
-        and not perfbench[top.name]
+    return [
+        qualname
+        for qualname, node in defs.items()
+        if in_src[node.name] == _refs(node)[node.name]  # no use outside its own body
+        and not re.search(rf"\b{node.name}\b", readme)
+        and not perfbench[node.name]
     ]
+
+
+def _module_bodies():
+    return {path.stem: ast.parse(path.read_text()).body for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_definition_has_a_caller():
+    defs = {
+        f"{module}.{top.name}": top
+        for module, body in _module_bodies().items()
+        for top in body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    }
+    orphans = _orphans(defs)
     assert orphans == [], f"reached only by tests, move to tests/ or delete: {orphans}"
+
+
+def test_every_public_method_has_a_caller():
+    defs = {
+        f"{module}.{top.name}.{fn.name}": fn
+        for module, body in _module_bodies().items()
+        for top in body
+        if isinstance(top, ast.ClassDef)
+        for fn in top.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+    orphans = _orphans(defs)
+    assert orphans == [], f"methods reached only by tests, delete them: {orphans}"

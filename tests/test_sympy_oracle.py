@@ -122,4 +122,4 @@ def test_signed_minors(drawn):
         for i in range(1, n + 2):
             square, _ = oracle(drop_column(rows, i - 1), d.field)
             want = square.det()
-            assert conv(mv.value_at(i)) == (want if i % 2 else -want)
+            assert conv(mv[i - 1]) == (want if i % 2 else -want)
