@@ -14,7 +14,7 @@ ints because residue classes contain many of them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -80,6 +80,18 @@ def parse_json_int(text: str) -> int:
     return int(text)
 
 
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def sealed(cls):
+    """Setting or deleting any attribute of this frozen slotted dataclass raises
+    FrozenInstanceError (the generated methods raise TypeError on non-fields)."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+@sealed
 @dataclass(frozen=True, slots=True)
 class PrimeFieldElement:
     """Residue modulo a prime.  Immutable; mixed moduli raise MixedFields."""
@@ -171,6 +183,7 @@ class PrimeFieldElement:
 Scalar = Union[Fraction, PrimeFieldElement]
 
 
+@sealed
 @dataclass(frozen=True, slots=True)
 class FieldConfig:
     """The active field: Q when ``p`` is None, otherwise GF(p)."""

@@ -4,10 +4,11 @@ Coefficients are stored ascending (``coeffs[l]`` multiplies x^l) with
 trailing zeros trimmed; the zero polynomial has an empty coefficient tuple
 and degree ``MINUS_INFINITY``, which compares less than every integer.
 
-Also here: gcd, the Extended Euclidean Algorithm with full row history,
-Hermite interpolation by confluent divided differences, the node product
-polynomial, and Taylor coefficients of a rational function (power-series
-division, no symbolic quotient rule).
+Also here: gcd and the Extended Euclidean table with full row history (the
+``eea-trace`` view; ``solvers.solve_eea`` runs its own int Euclid), the
+confluent interpolant (divided differences, Horner expansion), the node
+product polynomial (built in ints), and Taylor coefficients of a rational
+function (power-series division, no symbolic quotient rule).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .field import (
     PrimeFieldElement,
     Scalar,
     infer_field,
+    sealed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MINUS_INFINITY = float("-inf")
 
 
+@sealed
 @dataclass(frozen=True, slots=True, init=False)
 class Poly:
     """Immutable dense polynomial over a fixed FieldConfig."""
@@ -294,40 +297,37 @@ def hermite_interpolant(data: "HermiteData") -> Poly:
     """The unique G, deg G < n, with G^(j)(u_i) = j! v_{i,j} for all i, j.
 
     Built by Newton divided differences on the node multiset; a confluent
-    entry spanning j+1 copies of u_i is v_{i,j} directly.
+    entry spanning j+1 copies of u_i is v_{i,j} directly.  The Newton form
+    is expanded on a coefficient list by Horner, c <- c (x - z_b) + dd[0][b].
     """
     field = data.field
-    z = []
-    owner = []
-    for i, ni in enumerate(data.n_vec):
-        z.extend([data.u[i]] * ni)
-        owner.extend([i] * ni)
+    owner = [i for i, ni in enumerate(data.n_vec) for _ in range(ni)]
+    z = [data.u[i] for i in owner]
     n = len(z)
     dd = [[field.zero] * n for _ in range(n)]
-    for a in range(n):
-        dd[a][a] = data.v[owner[a]][0]
-    for span in range(1, n):
+    for span in range(n):
         for a in range(n - span):
             b = a + span
             if owner[a] == owner[b]:
                 dd[a][b] = data.v[owner[a]][span]
             else:
                 dd[a][b] = (dd[a + 1][b] - dd[a][b - 1]) / (z[b] - z[a])
-    result = Poly.zero(field)
-    basis = Poly.one(field)
-    for b in range(n):
-        result = result + dd[0][b] * basis
-        basis = basis * Poly((-z[b], 1), field)
-    return result
+    c = [dd[0][n - 1]]
+    for b in range(n - 2, -1, -1):
+        c = [lo - z[b] * hi for lo, hi in zip([dd[0][b]] + c, c + [field.zero])]
+    return Poly(c, field)
 
 
 def product_F(data: "HermiteData") -> Poly:
-    """The monic node polynomial prod (x - u_i)^{n_i}, degree n."""
-    field = data.field
-    out = Poly.one(field)
+    """The monic node polynomial prod (x - u_i)^{n_i}, degree n: over Q,
+    prod (b x - a)^{n_i} for u_i = a/b in ints, made monic once; over GF(p),
+    prod (x - u_i)^{n_i} on residues."""
+    out = [1]
     for ui, ni in zip(data.u, data.n_vec):
-        out = out * Poly((-ui, 1), field) ** ni
-    return out
+        a, b = (ui.numerator, ui.denominator) if data.field.p is None else (ui.residue, 1)
+        for _ in range(ni):
+            out = [b * lo - a * hi for lo, hi in zip([0] + out, out + [0])]
+    return Poly(out, data.field).monic()
 
 
 def taylor_prefix(p: Poly, x0, count: int) -> list[Scalar]:

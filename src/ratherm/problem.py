@@ -22,7 +22,7 @@ import math
 from typing import Optional
 
 from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
-from .field import FieldConfig, Scalar, infer_field
+from .field import FieldConfig, Scalar, infer_field, sealed
 from .linalg import ExactMatrix
 from .polynomial import Poly, evaluate, taylor_prefix
 
@@ -30,6 +30,7 @@ from .polynomial import Poly, evaluate, taylor_prefix
 MAX_N = 64
 
 
+@sealed
 @dataclasses.dataclass(frozen=True, slots=True, init=False)
 class HermiteData:
     """Validated, immutable problem input.

@@ -1,6 +1,7 @@
 """Problem input validation, the JSON document schema, and the structured
 matrix against Taylor-coefficient oracles."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -73,6 +74,26 @@ def test_properties_and_immutability(golden):
     assert golden.u == (Fraction(1), Fraction(2))
     with pytest.raises(AttributeError):
         golden.k = 1
+
+
+SEALED = [
+    pytest.param(RAT, "p", id="FieldConfig"),
+    pytest.param(GF13.from_int(4), "residue", id="PrimeFieldElement"),
+    pytest.param(Poly((1, 2), RAT), "coeffs", id="Poly"),
+    pytest.param(HermiteData((1, 2), (2, 1), ((1, 0), (0,)), 2, RAT), "k", id="HermiteData"),
+]
+
+
+@pytest.mark.parametrize("obj,field_name", SEALED)
+@pytest.mark.parametrize("which", ["field", "other"])
+def test_frozen_values_refuse_any_assignment(obj, field_name, which):
+    name = field_name if which == "field" else "zzz"
+    before = (obj, hash(obj), repr(obj))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, name)
+    assert (obj, hash(obj), repr(obj)) == before
 
 
 def test_field_inference():

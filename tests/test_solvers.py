@@ -24,8 +24,11 @@ from ratherm import (
     build_matrix,
     classify_by_rank,
     diagonal_minor,
+    eea,
+    hermite_interpolant,
     kernel_basis,
     minor_vector,
+    product_F,
     rank,
     rational_taylor,
     rhip_check,
@@ -33,10 +36,11 @@ from ratherm import (
     solve_kernel,
     solve_minors,
     stratum_equations,
+    terminal_row,
 )
 from ratherm.linalg import determinant
 from ratherm.problem import witness_nodes
-from ratherm.solvers import chart_pair, find_defect
+from ratherm.solvers import _classify_minimal, chart_pair, find_defect
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -390,3 +394,50 @@ def test_routes_and_classifiers_agree_low_entropy(d):
         assert rep.defect == minsol_k.kernel_dim
         assert rep.unattainable == (not verdict_k.solvable)
         assert rep.witnesses == witnesses
+
+
+# ------------------------------------------- int Euclid against the table
+
+
+@st.composite
+def euclid_data(draw):
+    """(field, u, shape, v) for every k: Q with non-integer nodes and values,
+    or GF(5|7); most values are zero, so G = 0 and early zero remainders
+    occur."""
+    field = draw(st.sampled_from((RAT, GF5, GF7)))
+    l = draw(st.integers(1, 3))
+    if field.p is None:
+        scalars = st.fractions(-3, 3, max_denominator=4)
+    else:
+        scalars = st.integers(0, field.p - 1)
+    u = draw(st.lists(scalars, min_size=l, max_size=l, unique=True))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=l, max_size=l)))
+    values = st.one_of(st.just(0), st.just(0), scalars)
+    v = tuple(
+        tuple(draw(st.lists(values, min_size=ni, max_size=ni))) for ni in shape
+    )
+    return field, u, shape, v
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(euclid_data())
+@example((RAT, [Fraction(1, 2), 3], (2, 2), ((0, 0), (0, 0))))
+@example((GF5, [0, 1], (2, 2), ((0, 0), (0, 1))))
+def test_int_euclid_matches_fraction_table(case):
+    """solve_eea equals the verdict read off the first row of eea(F, G), or
+    its terminal row, with deg R <= k-1, at every k on the same (u, v)."""
+    field, u, shape, v = case
+    first = HermiteData(u, shape, v, 1, field)
+    F, G = product_F(first), hermite_interpolant(first)
+    rows = [] if G.is_zero else eea(F, G)
+    if rows:
+        rows.append(terminal_row(rows))
+    for k in range(1, first.n + 1):
+        d = HermiteData(u, shape, v, k, field)
+        if G.is_zero:
+            R, T = G, Poly.one(field)
+        else:
+            row = next(r for r in rows if r.remainder.degree <= k - 1)
+            R, T = row.remainder, row.bezout_t
+        expected = _classify_minimal(d, MinimalSolution.from_pair(d, R, T))
+        assert solve_eea(d) == expected
