@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -150,16 +151,16 @@ def _run_method(data: HermiteData, method: str):
 
 
 def _classifications_agree(outcomes: list) -> bool:
+    """Same verdict from every route, and the same pair or the same stratum
+    and witnesses.  Each route's pair comes out of MinimalSolution.from_pair
+    normalized (A0 monic, or B0 when A0 = 0), so pairs that are
+    proportional are equal."""
     verdicts = [cls.solvable for _, cls in outcomes]
     if any(v != verdicts[0] for v in verdicts):
         return False
-    if verdicts[0]:
-        base = outcomes[0][1].sol
-        for _, cls in outcomes[1:]:
-            if not (base.A * cls.sol.B - cls.sol.A * base.B).is_zero:
-                return False
-        return True
     base = outcomes[0][1]
+    if verdicts[0]:
+        return all(cls.sol == base.sol for _, cls in outcomes[1:])
     return all(
         cls.stratum_j == base.stratum_j and cls.witness_nodes == base.witness_nodes
         for _, cls in outcomes[1:]
@@ -375,7 +376,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh Namespace."""
     parser = _Parser(
         prog="ratherm",
         description=(

@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 from .errors import ShapeMismatch
 from .field import FieldConfig, Scalar, infer_field
+from .polynomial import _ints
 
 
 class ExactMatrix:
@@ -38,12 +39,8 @@ class ExactMatrix:
             raise ShapeMismatch(f"ragged rows of widths {sorted(widths)}")
         if field is None:
             field = infer_field(x for row in raw for x in row)
-        boxed = [[field.coerce(x) for x in row] for row in raw]
-        if field.p is None:
-            dens = [math.lcm(*(x.denominator for x in row)) for row in boxed]
-            nums = [[x.numerator * d // x.denominator for x in row] for row, d in zip(boxed, dens)]
-        else:
-            nums, dens = [[x.residue for x in row] for row in boxed], [1] * len(boxed)
+        ints = [_ints(field, [field.coerce(x) for x in row]) for row in raw]
+        nums, dens = [row for row, _ in ints], [den for _, den in ints]
         self._fill(widths.pop() if widths else 0, field, nums, dens)
 
     @classmethod

@@ -5,14 +5,20 @@ trailing zeros trimmed; the zero polynomial has an empty coefficient tuple
 and degree ``MINUS_INFINITY``, which compares less than every integer.
 
 Also here: gcd and the Extended Euclidean table with full row history (the
-``eea-trace`` view; ``solvers.solve_eea`` runs its own int Euclid), the
-confluent interpolant (divided differences, Horner expansion), the node
-product polynomial (built in ints), and Taylor coefficients of a rational
-function (power-series division, no symbolic quotient rule).
+``eea-trace`` view), the confluent interpolant (divided differences, Horner
+expansion), the node product polynomial, and Taylor coefficients of a
+rational function (power-series division, no symbolic quotient rule).
+
+``Poly`` arithmetic, the ``eea`` table and the interpolant run on field
+scalars.  ``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node),
+``gcd`` (a primitive remainder sequence), ``product_F`` and the
+pseudo-division step shared with ``solvers.solve_eea`` run on cleared-
+denominator ints from ``_ints`` and box only their results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -227,23 +233,83 @@ class EEARow:
     bezout_t: Poly
 
 
+def _ints(field: FieldConfig, xs) -> tuple[list[int], int]:
+    """Scalars xs as (int numerators, one positive denominator): over Q the
+    lcm of their denominators, 1 for no scalars; over GF(p) residues over 1.
+    A node u = a/b becomes ([a], b)."""
+    if field.p is None:
+        den = math.lcm(*(x.denominator for x in xs))
+        return [x.numerator * (den // x.denominator) for x in xs], den
+    return [x.residue for x in xs], 1
+
+
+def _box(field: FieldConfig, num: int, den: int) -> Scalar:
+    """num / den as a field scalar; den is 1 over GF(p)."""
+    return Fraction(num, den) if field.p is None else field.from_int(num)
+
+
+def _shift(c: list, d: int, a: int, b: int, count: int, p) -> tuple[list[int], int]:
+    """Taylor coefficients at a/b of p(x) = sum_l c[l] x^l / d, as (e, q)
+    with the j-th equal to e[j] / q; zero past N = deg p.
+
+    p(x) = P(b x) / (d b^N) with P(X) = sum_l c[l] b^(N-l) X^l, so repeated
+    synthetic division of P by X - a (ints throughout) leaves P's Taylor
+    coefficients C_j at a, and p's are C_j b^j / (d b^N).  Over GF(p)
+    (b = d = 1) the passes run on residues.
+    """
+    N = len(c) - 1
+    cur = [x * b ** (N - l) for l, x in enumerate(c)] if p is None else list(c)
+    out, bj = [], 1
+    for _ in range(count):
+        acc, quot = 0, []
+        for x in reversed(cur):
+            acc = acc * a + x if p is None else (acc * a + x) % p
+            quot.append(acc)
+        out.append(quot.pop() * bj if quot else 0)
+        cur, bj = quot[::-1], bj * b
+    return out, d * b ** max(N, 0)
+
+
+def _pseudo_step(R0: list, R: list, p) -> tuple[int, list, list]:
+    """One Euclid step on ascending int coefficient lists, deg R0 >= deg R - 1
+    and R nonzero: over Q (p None) lc^e R0 = q R + r with lc = lead R and
+    e = deg R0 - deg R + 1 (pseudo-division, exact in ints); over GF(p) on
+    residues, lc^e = 1 and lc inverted.  Returns (lc^e, q, r), r trimmed
+    (and reduced over GF(p))."""
+    d, lc = len(R) - 1, R[-1]
+    s, inv = (lc ** (len(R0) - d), 1) if p is None else (1, pow(lc, -1, p))
+    r, q = [s * c for c in R0], [0] * (len(R0) - d)
+    for top in range(len(r) - 1, d - 1, -1):
+        c = q[top - d] = r[top] // lc if p is None else r[top] * inv % p
+        r[top - d : top] = [x - c * y for x, y in zip(r[top - d : top], R)]
+    r = r[:d] if p is None else [c % p for c in r[:d]]
+    while r and not r[-1]:
+        r.pop()
+    return s, q, r
+
+
 def evaluate(p: Poly, x0) -> Scalar:
-    """Horner evaluation."""
-    x0 = p.field.coerce(x0)
-    acc = p.field.zero
-    for c in reversed(p.coeffs):
-        acc = acc * x0 + c
-    return acc
+    """p(x0): the 0-th Taylor coefficient, by one Horner pass on ints."""
+    return taylor_prefix(p, x0, 1)[0]
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
+    """Monic greatest common divisor; gcd(p, 0) = monic(p).
+
+    A primitive remainder sequence on ints (Collins 1967; Brown & Traub
+    1971): over Q each pseudo-remainder is divided by its content, over
+    GF(p) the remainders are residues; the last nonzero one, made monic.
+    """
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if q.field != p.field:
+        raise MixedFields(f"{p.field} vs {q.field}")
+    a, b = sorted((_ints(p.field, P.coeffs)[0] for P in (p, q)), key=len, reverse=True)
+    while b:
+        r = _pseudo_step(a, b, p.field.p)[2]
+        g = math.gcd(*r) if p.field.p is None else 1
+        a, b = b, [c // g for c in r] if g > 1 else r
+    return Poly(a, p.field).monic()
 
 
 def eea(F: Poly, G: Poly) -> list[EEARow]:
@@ -319,12 +385,12 @@ def hermite_interpolant(data: "HermiteData") -> Poly:
 
 
 def product_F(data: "HermiteData") -> Poly:
-    """The monic node polynomial prod (x - u_i)^{n_i}, degree n: over Q,
-    prod (b x - a)^{n_i} for u_i = a/b in ints, made monic once; over GF(p),
-    prod (x - u_i)^{n_i} on residues."""
+    """The monic node polynomial prod (x - u_i)^{n_i}, degree n: the int
+    product prod (b x - a)^{n_i} for u_i = a/b (b = 1 over GF(p), where
+    a is the residue), made monic once."""
     out = [1]
     for ui, ni in zip(data.u, data.n_vec):
-        a, b = (ui.numerator, ui.denominator) if data.field.p is None else (ui.residue, 1)
+        (a,), b = _ints(data.field, (ui,))
         for _ in range(ni):
             out = [b * lo - a * hi for lo, hi in zip([0] + out, out + [0])]
     return Poly(out, data.field).monic()
@@ -332,21 +398,12 @@ def product_F(data: "HermiteData") -> Poly:
 
 def taylor_prefix(p: Poly, x0, count: int) -> list[Scalar]:
     """First ``count`` Taylor coefficients c_j of p at x0, where
-    p = sum_j c_j (x - x0)^j; zero past deg p.
-
-    Repeated synthetic division by x - x0 on the coefficient list: each
-    Horner pass leaves the remainder p_j(x0) = c_j and the quotient p_{j+1}.
-    """
-    x0, zero = p.field.coerce(x0), p.field.zero
-    cur, out = list(p.coeffs), []
-    for _ in range(count):
-        acc, quot = zero, []
-        for c in reversed(cur):
-            acc = acc * x0 + c
-            quot.append(acc)
-        out.append(quot.pop() if quot else zero)
-        cur = quot[::-1]
-    return out
+    p = sum_j c_j (x - x0)^j; zero past deg p.  Computed by ``_shift`` on
+    ints, each coefficient boxed once."""
+    field = p.field
+    (a,), b = _ints(field, (field.coerce(x0),))
+    e, q = _shift(*_ints(field, p.coeffs), a, b, count, field.p)
+    return [_box(field, x, q) for x in e]
 
 
 def rational_taylor(A: Poly, B: Poly, x0, count: int) -> list[Scalar]:

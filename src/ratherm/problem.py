@@ -24,7 +24,7 @@ from typing import Optional
 from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
 from .field import FieldConfig, Scalar, infer_field, sealed
 from .linalg import ExactMatrix
-from .polynomial import Poly, evaluate, taylor_prefix
+from .polynomial import Poly, _box, _ints, _shift
 
 # Largest accepted n = sum n_i; bounds the work of every command.
 MAX_N = 64
@@ -180,14 +180,9 @@ def master_matrix(data: HermiteData) -> ExactMatrix:
         n, p, cols = data.n, data.field.p, range(data.n + 1)
         nums, dens = [], []
         for ui, vi in zip(data.u, data.v):
-            if p is None:
-                a, b = ui.numerator, ui.denominator
-                D = math.lcm(*(x.denominator for x in vi))
-                w = [x.numerator * D // x.denominator for x in vi]
-                pw = [a**e * b ** (n - e) for e in cols]
-            else:
-                b, D, w = 1, 1, [x.residue for x in vi]
-                pw = [pow(ui.residue, e, p) for e in cols]
+            (a,), b = _ints(data.field, (ui,))
+            w, D = _ints(data.field, vi)
+            pw = [a**e * b ** (n - e) if p is None else pow(a, e, p) for e in cols]
             # C(l, j) is zero for j > l, whatever power stands beside it
             left = [[math.comb(l, j) * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
             for j, row in enumerate(left):
@@ -246,25 +241,34 @@ def whip_residual(data: HermiteData, sol: RationalSolution) -> list[Scalar]:
 
     All zero exactly when (A, B) solves the linearized problem.  With a and
     b the Taylor coefficients of A and B at u_i, A^(j)(u_i) = j! a_j and
-    (j)_t B^(j-t)(u_i) = j! b_{j-t}, so the value is computed as
-    j! (a_j - sum_t v_{i,t} b_{j-t}).
+    (j)_t B^(j-t)(u_i) = j! b_{j-t}, so the value is
+    j! (a_j - sum_t v_{i,t} b_{j-t}).  On ints: A = PA / cA, B = PB / cB,
+    v_{i,t} = w_t / D, a_j = eA_j / qA and b_j = eB_j / qB (``_shift``), so
+    the value is j! (eA_j qB D - qA sum_t w_t eB_{j-t}) / (qA qB D).
     """
-    fact = [data.field.from_int(math.factorial(j)) for j in range(max(data.n_vec))]
+    field, p = data.field, data.field.p
+    fact = [math.factorial(j) for j in range(max(data.n_vec))]
+    (PA, cA), (PB, cB) = _ints(field, sol.A.coeffs), _ints(field, sol.B.coeffs)
     out = []
     for ui, vi in zip(data.u, data.v):
-        a = taylor_prefix(sol.A, ui, len(vi))
-        b = taylor_prefix(sol.B, ui, len(vi))
+        (a,), b = _ints(field, (ui,))
+        w, D = _ints(field, vi)
+        eA, qA = _shift(PA, cA, a, b, len(vi), p)
+        eB, qB = _shift(PB, cB, a, b, len(vi), p)
         for j in range(len(vi)):
-            acc = a[j]
-            for t in range(j + 1):
-                acc = acc - vi[t] * b[j - t]
-            out.append(fact[j] * acc)
+            acc = eA[j] * qB * D - qA * sum(w[t] * eB[j - t] for t in range(j + 1))
+            out.append(_box(field, fact[j] * acc, qA * qB * D))
     return out
 
 
 def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
-    """0-based node indices where the denominator B0 vanishes."""
-    return tuple(i for i, ui in enumerate(data.u) if not evaluate(B0, ui))
+    """0-based node indices where the denominator B0 vanishes; B0 on ints,
+    one Horner pass of ``_shift`` per node."""
+    c, d = _ints(data.field, B0.coeffs)
+    nodes = [_ints(data.field, (ui,)) for ui in data.u]
+    return tuple(
+        i for i, ((a,), b) in enumerate(nodes) if not _shift(c, d, a, b, 1, data.field.p)[0][0]
+    )
 
 
 def rhip_check(data: HermiteData, sol: RationalSolution) -> bool:

@@ -37,7 +37,7 @@ from typing import Union
 
 from .errors import InternalInconsistency
 from .linalg import determinant, kernel_basis, rank, signed_minors
-from .polynomial import Poly, evaluate, hermite_interpolant, product_F
+from .polynomial import Poly, _ints, _pseudo_step, evaluate, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
 
@@ -182,28 +182,21 @@ def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
 def _cut_row(R0: list, R: list, k: int, p) -> tuple[list, list]:
     """Euclid on ascending int coefficient lists from the rows (R0, 0), (R, 1)
     to the first remainder of degree <= k-1 or zero; returns it and its
-    Bezout cofactor T, up to a common factor.  Over Q (p None) a step is
-    lc^e R0 = q R + r, e = deg R0 - deg R + 1, T_new = lc^e T0 - q T, and
-    (r, T_new) divided by their joint content (a primitive PRS); over GF(p)
-    the same step runs on residues, lc^e = 1 and lc inverted."""
+    Bezout cofactor T, up to a common factor.  A step is the shared
+    ``_pseudo_step``, lc^e R0 = q R + r, then T_new = lc^e T0 - q T; over Q
+    (p None) (r, T_new) is divided by its joint content (a primitive PRS),
+    over GF(p) it is reduced to residues (lc^e = 1)."""
     T0, T = [], [1]
     while len(R) > k:
-        d, lc = len(R) - 1, R[-1]
-        s, inv = (lc ** (len(R0) - d), 1) if p is None else (1, pow(lc, -1, p))
-        r, q = [s * c for c in R0], [0] * (len(R0) - d)
-        for top in range(len(r) - 1, d - 1, -1):
-            c = q[top - d] = r[top] // lc if p is None else r[top] * inv % p
-            r[top - d : top] = [x - c * y for x, y in zip(r[top - d : top], R)]
+        s, q, r = _pseudo_step(R0, R, p)
         t = [s * c for c in T0] + [0] * (len(q) + len(T) - 1 - len(T0))
         for i, a in enumerate(q):
             t[i : i + len(T)] = [x - a * y for x, y in zip(t[i : i + len(T)], T)]
         if p is None:
-            g = math.gcd(*r[:d], *t)
-            r, t = [c // g for c in r[:d]], [c // g for c in t]
+            g = math.gcd(*r, *t)
+            r, t = [c // g for c in r], [c // g for c in t]
         else:
-            r, t = [c % p for c in r[:d]], [c % p for c in t]
-        while r and not r[-1]:
-            r.pop()
+            t = [c % p for c in t]
         (R0, T0), (R, T) = (R, T), (r, t)
     return R, T
 
@@ -216,8 +209,8 @@ def solve_eea(data: HermiteData) -> Classification:
     row's remainder and Bezout cofactor T are the minimal pair, and only T
     is carried.  A zero remainder (G = 0, or F and G sharing a factor of
     degree >= k) also ends the run, with the same meaning.  The run is
-    ``_cut_row`` on ints; over Q on L G, L the lcm of G's denominators, so
-    the pair for G is (R, L T).
+    ``_cut_row`` on ints; over Q on L G, L the lcm of G's denominators (1
+    over GF(p)), so the pair for G is (R, L T).
     """
     G = hermite_interpolant(data)
     F = product_F(data)
@@ -225,13 +218,8 @@ def solve_eea(data: HermiteData) -> Classification:
         raise InternalInconsistency(
             f"interpolant degree {G.degree} reached n = {F.degree}"
         )
-    if (p := data.field.p) is None:
-        LF, L = (math.lcm(*(c.denominator for c in P.coeffs)) for P in (F, G))
-        F_int = [c.numerator * (LF // c.denominator) for c in F.coeffs]
-        G_int = [c.numerator * (L // c.denominator) for c in G.coeffs]
-    else:
-        L, F_int, G_int = 1, [c.residue for c in F.coeffs], [c.residue for c in G.coeffs]
-    R, T = _cut_row(F_int, G_int, data.k, p)
+    (F_int, _), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
+    R, T = _cut_row(F_int, G_int, data.k, data.field.p)
     pair = Poly(R, data.field), Poly([L * c for c in T], data.field)
     return _classify_minimal(data, MinimalSolution.from_pair(data, *pair))
 

@@ -6,12 +6,16 @@ but wrong transcriptions of catalog identities, for showing that
 ``check_identity`` rejects false identities; ``specialized_vandermonde_data``
 is the substitution under which the main matrix becomes a confluent
 Vandermonde matrix.
+
+``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref`` and ``gcd_ref``
+are plain loops on field scalars (``Fraction`` or ``PrimeFieldElement``),
+the references the int kernels of the package are compared against.
 """
 
 import math
 from dataclasses import replace
 
-from ratherm import HermiteData, classify_by_rank, paper_identity_catalog
+from ratherm import HermiteData, Poly, classify_by_rank, paper_identity_catalog
 from ratherm.errors import ShapeMismatch
 from ratherm.field import RATIONALS
 
@@ -78,3 +82,50 @@ def specialized_vandermonde_data(u, n_vec, k: int, field=RATIONALS) -> HermiteDa
         for i, ni in enumerate(n_vec)
     )
     return HermiteData(u, n_vec, v, k, field)
+
+
+def evaluate_ref(p: Poly, x0):
+    """Horner evaluation on field scalars."""
+    x0 = p.field.coerce(x0)
+    acc = p.field.zero
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def taylor_prefix_ref(p: Poly, x0, count: int) -> list:
+    """First ``count`` Taylor coefficients of p at x0 by repeated synthetic
+    division on field scalars; zero past deg p."""
+    x0, zero = p.field.coerce(x0), p.field.zero
+    cur, out = list(p.coeffs), []
+    for _ in range(count):
+        acc, quot = zero, []
+        for c in reversed(cur):
+            acc = acc * x0 + c
+            quot.append(acc)
+        out.append(quot.pop() if quot else zero)
+        cur = quot[::-1]
+    return out
+
+
+def whip_residual_ref(data: HermiteData, sol) -> list:
+    """j! (a_j - sum_t v_{i,t} b_{j-t}) per row (i, j), on field scalars."""
+    fact = [data.field.from_int(math.factorial(j)) for j in range(max(data.n_vec))]
+    out = []
+    for ui, vi in zip(data.u, data.v):
+        a = taylor_prefix_ref(sol.A, ui, len(vi))
+        b = taylor_prefix_ref(sol.B, ui, len(vi))
+        for j in range(len(vi)):
+            acc = a[j]
+            for t in range(j + 1):
+                acc = acc - vi[t] * b[j - t]
+            out.append(fact[j] * acc)
+    return out
+
+
+def gcd_ref(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by Euclid with field-scalar division."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()

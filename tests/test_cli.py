@@ -266,6 +266,53 @@ def test_foreign_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert json.loads(err) == {"error": "synthetic failure", "kind": "TypeError"}
 
 
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # one parser per process: flags of one call must not leak into the next
+    path = write_doc(tmp_path, GOLDEN_DOC)
+    code, out, _ = run_json(capsys, ["solve", "--input", path, "--method", "kernel"])
+    assert (code, out["method"]) == (3, "kernel")
+    code, out, _ = run_json(capsys, ["solve", "--input", path])
+    assert (code, out["method"]) == (3, "all")
+    code = main(["classify", "--input", path, "--format", "pretty"])
+    assert code == 3 and capsys.readouterr().out.startswith("defect: 1")
+    code, out, _ = run_json(capsys, ["sample", "--shape", "2,1", "--k", "2", "--seed", "3"])
+    assert code == 0 and out["meta"]["seed"] == 3
+    code, out, err = run_json(capsys, ["solve", "--input", path, "--method", "bogus"])
+    assert (code, out) == (1, None)
+    assert json.loads(err)["kind"] == "InvalidInput"
+    code, out, _ = run_json(capsys, ["solve", "--input", path, "--method", "eea"])
+    assert (code, out["method"]) == (3, "eea")
+
+
+def _disagreement(capsys, tmp_path, monkeypatch, doc, route, fake):
+    monkeypatch.setattr(f"ratherm.cli.{route}", fake)
+    code, out, _ = run_json(capsys, ["solve", "--input", write_doc(tmp_path, doc)])
+    return code, out
+
+
+def test_agreement_rejects_a_different_solvable_pair(tmp_path, capsys, monkeypatch):
+    from ratherm.problem import RationalSolution
+    from ratherm.solvers import Solvable, solve_eea
+
+    def other_pair(data):
+        sol = solve_eea(data).sol
+        return Solvable(RationalSolution(sol.A + 1, sol.B))  # not proportional
+
+    code, out = _disagreement(capsys, tmp_path, monkeypatch, solvable_doc(), "solve_eea", other_pair)
+    assert (code, out["method_agreement"]) == (2, False)
+
+
+def test_agreement_rejects_different_witnesses(tmp_path, capsys, monkeypatch):
+    from ratherm.solvers import Unattainable, solve_minors
+
+    def other_witnesses(data):
+        minsol, cls = solve_minors(data)
+        return minsol, Unattainable(cls.stratum_j, (0,))  # the true list is (1,)
+
+    code, out = _disagreement(capsys, tmp_path, monkeypatch, GOLDEN_DOC, "solve_minors", other_witnesses)
+    assert (code, out["method_agreement"]) == (2, False)
+
+
 # ----------------------------------------------------------------- classify
 
 

@@ -1,0 +1,109 @@
+"""The int kernels against the field-scalar loops of ``tests/oracles.py``.
+
+``evaluate``, ``taylor_prefix``, ``whip_residual`` and ``gcd`` run on
+cleared-denominator ints and box their results; every value must equal the
+reference exactly, over Q with node and value denominators up to 10 and
+over GF(5), GF(7) and GF(1000003).
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import evaluate_ref, gcd_ref, taylor_prefix_ref, whip_residual_ref
+from ratherm import FieldConfig, HermiteData, Poly, evaluate, gcd, taylor_prefix, whip_residual
+from ratherm.problem import RationalSolution, witness_nodes
+
+RAT = FieldConfig.rationals()
+FIELDS = [RAT, FieldConfig.prime(5), FieldConfig.prime(7), FieldConfig.prime(1000003)]
+
+
+def scalars(field):
+    """Field scalars, about half of them zero."""
+    if field.p is None:
+        nonzero = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10))
+    else:
+        nonzero = st.integers(0, field.p - 1).map(field.from_int)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+def polys(field, max_size=7):
+    return st.lists(scalars(field), max_size=max_size).map(lambda c: Poly(c, field))
+
+
+@st.composite
+def field_poly_node(draw):
+    field = draw(st.sampled_from(FIELDS))
+    return field, draw(polys(field)), draw(scalars(field))
+
+
+@given(field_poly_node(), st.integers(0, 4))
+def test_taylor_prefix_and_evaluate_match_reference(fpx, extra):
+    field, p, x0 = fpx
+    count = len(p.coeffs) + extra  # past deg + 1 whenever extra > 0
+    assert taylor_prefix(p, x0, count) == taylor_prefix_ref(p, x0, count)
+    assert evaluate(p, x0) == evaluate_ref(p, x0)
+
+
+def test_zero_polynomial_and_empty_prefix():
+    for field in FIELDS:
+        zero, x0 = Poly.zero(field), field.from_int(3)
+        assert taylor_prefix(zero, x0, 3) == [field.zero] * 3 == taylor_prefix_ref(zero, x0, 3)
+        assert evaluate(zero, x0) == field.zero
+        assert taylor_prefix(Poly.one(field), x0, 0) == []
+
+
+@st.composite
+def instances(draw):
+    """(data, pair): 1-3 nodes of multiplicity 1-3, zero-heavy values and a
+    pair of arbitrary degrees (not necessarily a solution)."""
+    field = draw(st.sampled_from(FIELDS))
+    if field.p is None:
+        node = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10))
+    else:
+        node = st.integers(0, field.p - 1).map(field.from_int)
+    u = draw(st.lists(node, min_size=1, max_size=3, unique=True))
+    n_vec = draw(st.lists(st.integers(1, 3), min_size=len(u), max_size=len(u)))
+    v = [draw(st.lists(scalars(field), min_size=ni, max_size=ni)) for ni in n_vec]
+    k = draw(st.integers(1, sum(n_vec)))
+    data = HermiteData(u, n_vec, v, k, field)
+    return data, RationalSolution(draw(polys(field)), draw(polys(field)))
+
+
+@settings(max_examples=150)
+@given(instances())
+def test_whip_residual_and_witness_nodes_match_reference(inst):
+    data, sol = inst
+    assert whip_residual(data, sol) == whip_residual_ref(data, sol)
+    want = tuple(i for i, ui in enumerate(data.u) if not evaluate_ref(sol.B, ui))
+    assert witness_nodes(data, sol.B) == want
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Two polynomials over one field, sharing a drawn factor half the time."""
+    field = draw(st.sampled_from([RAT, FieldConfig.prime(7)]))
+    p, q = draw(polys(field, 5)), draw(polys(field, 5))
+    g = draw(st.one_of(st.just(Poly.one(field)), polys(field, 3)))
+    return (p, q) if g.is_zero else (p * g, q * g)
+
+
+@settings(max_examples=150)
+@given(gcd_inputs())
+def test_gcd_matches_reference(pq):
+    p, q = pq
+    if p.is_zero and q.is_zero:
+        return
+    assert gcd(p, q) == gcd_ref(p, q) == gcd(q, p)
+
+
+def test_gcd_of_non_coprime_inputs():
+    for field in (RAT, FieldConfig.prime(7)):
+        g = Poly((field.from_int(2), field.from_int(3), field.one), field)  # (x + 1)(x + 2)
+        p = g * Poly((field.from_int(3), field.one), field)
+        q = g * g * Poly((field.from_int(-1), field.from_int(4)), field)
+        assert gcd(p, q) == gcd_ref(p, q) == g
+        assert gcd(p, Poly.zero(field)) == p.monic()
+    half = Poly((Fraction(1, 2), Fraction(-3, 7)), RAT)
+    assert gcd(half * Poly((1, 1), RAT), half * Poly((2, 1), RAT)) == half.monic()
