@@ -3,8 +3,9 @@ maximal minors, all read off one fraction-free elimination on plain ints,
 and submatrices by index selection.  An :class:`ExactMatrix` stores int
 rows (numerators over one row denominator over Q, residues over GF(p));
 a row is boxed into field scalars only when it is read, and so are
-returned values.  ``rank`` and ``determinant`` eliminate forward only;
-``kernel_basis`` and ``signed_minors`` run Gauss-Jordan.
+returned values.  Every function runs one forward elimination;
+``kernel_basis`` and ``signed_minors`` then rebuild their kernel vectors by
+fraction-free back substitution on the echelon rows.
 
 Row and column indices are 0-based everywhere in this module, and so are
 the positions of a signed-minor tuple: the minor written with 1-based
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import ShapeMismatch
+from .errors import InternalInconsistency, ShapeMismatch
 from .field import FieldConfig, Scalar, infer_field
 from .polynomial import _ints
 
@@ -106,20 +107,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows_list()!r})"
 
 
-def _eliminate(M: ExactMatrix, full: bool) -> tuple[list[list[int]], list[int], int, bool, int]:
-    """One fraction-free elimination over the int rows of M.
+def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
+    """One fraction-free forward elimination over the int rows of M.
 
     Each row is first put in lowest terms (a slice may not need all of its
     row's denominator); ``scale`` is the product of the denominators left.
-    At each pivot d, a row becomes (d*x - f*y) / prev, with f its entry in
-    the pivot column, y the pivot row's entry and prev the previous pivot.
-    Over Q every entry stays a minor of the numerator matrix, so the
-    division is exact (Bareiss 1968); over GF(p) it is one inverse per
-    pivot.  A column without a nonzero entry at or below the current row
-    is skipped.  With ``full``, every other row is updated in every column
-    (Gauss-Jordan), and pivot row i ends up holding last_pivot in column
-    pivots[i] and zero in the other pivot columns.  Without it, only the
-    rows below the pivot are updated, right of its column; same pivots.
+    At each pivot d, a row below it becomes (d*x - f*y) / prev right of the
+    pivot column, with f its entry in that column, y the pivot row's entry
+    and prev the previous pivot.  Over Q every entry stays a minor of the
+    numerator matrix, so the division is exact (Bareiss 1968); over GF(p)
+    it is one inverse per pivot.  A column without a nonzero entry at or
+    below the current row is skipped.  Pivot row i ends up holding the i-th
+    pivot in column pivots[i]; its entries left of that column are stale.
 
     Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
     columns, the numerator rows have determinant (-1)^parity * last_pivot,
@@ -144,10 +143,8 @@ def _eliminate(M: ExactMatrix, full: bool) -> tuple[list[list[int]], list[int], 
         top = rows[k]
         d = top[col]
         inv = None if p is None else pow(prev, -1, p)
-        lo = 0 if full else col + 1
-        for i in range(0 if full else k + 1, M.r):
-            if i == k:
-                continue
+        lo = col + 1
+        for i in range(k + 1, M.r):
             row = rows[i]
             f, pairs = row[col], zip(row[lo:], top[lo:])
             if p is None:
@@ -160,18 +157,35 @@ def _eliminate(M: ExactMatrix, full: bool) -> tuple[list[list[int]], list[int], 
 
 
 def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) -> list:
-    """The integer kernel vector of free column f: last_pivot there, minus
-    the pivot rows' entries of column f on the pivot columns."""
+    """The integer kernel vector of free column f, by back substitution from
+    the last pivot row up: last_pivot at f, zero at the other free columns,
+    and v[pivots[i]] = -(sum over j > pivots[i] of rows[i][j] v[j]) divided
+    by the pivot rows[i][pivots[i]].
+
+    It is the kernel vector with last_pivot at f, which Cramer's rule makes
+    integral, so over Q every division is exact; a remainder means the rows
+    are not M's echelon form.  Over GF(p) each pivot is inverted once.
+    """
+    p = M.field.p
     v = [0] * M.c
     v[f] = last
-    for row, col in zip(rows, pivots):
-        v[col] = -row[f]
+    for i in range(len(pivots) - 1, -1, -1):
+        col, row = pivots[i], rows[i]
+        s = sum(x * y for x, y in zip(row[col + 1 :], v[col + 1 :]) if y)
+        if p is not None:
+            v[col] = -s * pow(row[col], -1, p) % p
+            continue
+        v[col], rem = divmod(-s, row[col])
+        if rem:
+            raise InternalInconsistency(
+                f"back substitution left remainder {rem} at pivot column {col}"
+            )
     return v
 
 
 def rank(M: ExactMatrix) -> int:
     """Exact rank: the number of pivots."""
-    return len(_eliminate(M, full=False)[1])
+    return len(_eliminate(M)[1])
 
 
 def determinant(M: ExactMatrix) -> Scalar:
@@ -179,7 +193,7 @@ def determinant(M: ExactMatrix) -> Scalar:
     without a full pivot set.  The empty 0x0 matrix has determinant 1."""
     if M.r != M.c:
         raise ShapeMismatch(f"determinant of a {M.r}x{M.c} matrix")
-    _, pivots, last, parity, scale = _eliminate(M, full=False)
+    _, pivots, last, parity, scale = _eliminate(M)
     if len(pivots) < M.r:
         return M.field.zero
     return M.field.from_int(-last if parity else last) / M.field.from_int(scale)
@@ -191,7 +205,7 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     Deterministic: free columns are taken in increasing index order and each
     vector is scaled so its first nonzero coordinate is 1.
     """
-    rows, pivots, last, _, _ = _eliminate(M, full=True)
+    rows, pivots, last, _, _ = _eliminate(M)
     field = M.field
     basis = []
     for f in [c for c in range(M.c) if c not in pivots]:
@@ -214,7 +228,7 @@ def signed_minors(M: ExactMatrix) -> tuple:
     """
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
-    rows, pivots, last, parity, scale = _eliminate(M, full=True)
+    rows, pivots, last, parity, scale = _eliminate(M)
     field = M.field
     if len(pivots) < M.r:
         return (field.zero,) * M.c

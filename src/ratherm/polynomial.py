@@ -5,15 +5,15 @@ trailing zeros trimmed; the zero polynomial has an empty coefficient tuple
 and degree ``MINUS_INFINITY``, which compares less than every integer.
 
 Also here: gcd and the Extended Euclidean table with full row history (the
-``eea-trace`` view), the confluent interpolant (divided differences, Horner
-expansion), the node product polynomial, and Taylor coefficients of a
+``eea-trace`` view), the confluent interpolant (node by node, Chinese
+remaindering), the node product polynomial, and Taylor coefficients of a
 rational function (power-series division, no symbolic quotient rule).
 
-``Poly`` arithmetic, the ``eea`` table and the interpolant run on field
-scalars.  ``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node),
-``gcd`` (a primitive remainder sequence), ``product_F`` and the
-pseudo-division step shared with ``solvers.solve_eea`` run on cleared-
-denominator ints from ``_ints`` and box only their results.
+``Poly`` arithmetic and the ``eea`` table run on field scalars.
+``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node), ``gcd``
+(a primitive remainder sequence), ``hermite_interpolant``, ``product_F``
+and the pseudo-division step shared with ``solvers.solve_eea`` run on
+cleared-denominator ints from ``_ints`` and box only their results.
 """
 
 from __future__ import annotations
@@ -362,26 +362,47 @@ def terminal_row(rows: list[EEARow]) -> EEARow:
 def hermite_interpolant(data: "HermiteData") -> Poly:
     """The unique G, deg G < n, with G^(j)(u_i) = j! v_{i,j} for all i, j.
 
-    Built by Newton divided differences on the node multiset; a confluent
-    entry spanning j+1 copies of u_i is v_{i,j} directly.  The Newton form
-    is expanded on a coefficient list by Horner, c <- c (x - z_b) + dd[0][b].
+    Built node by node on ints (Chinese remaindering).  With u_i = a/b and
+    H = prod_{j != i} (b_j x - a_j)^(n_j), G = sum_i H S_i, where S_i,
+    deg S_i < n_i, is the power series V / H in y = x - u_i truncated to
+    n_i terms, V = sum_t v_{i,t} y^t.  ``_shift`` gives H's Taylor
+    coefficients e_t / q at u_i and ``_ints`` gives V = W / L.  The series
+    division W / E stays integral as tau_t = e_0^(t+1) sigma_t, so
+    S_i = q / (L e_0^n_i b^(n_i-1)) * sum_t tau_t (e_0 b)^(n_i-1-t) (b x - a)^t,
+    expanded by Horner.  Over GF(p) (b = q = L = 1) the inputs are residues
+    and the factor is e_0^(-n_i) mod p.  The terms are summed over one
+    common denominator (1 over GF(p)) and boxed once.
     """
-    field = data.field
-    owner = [i for i, ni in enumerate(data.n_vec) for _ in range(ni)]
-    z = [data.u[i] for i in owner]
-    n = len(z)
-    dd = [[field.zero] * n for _ in range(n)]
-    for span in range(n):
-        for a in range(n - span):
-            b = a + span
-            if owner[a] == owner[b]:
-                dd[a][b] = data.v[owner[a]][span]
-            else:
-                dd[a][b] = (dd[a + 1][b] - dd[a][b - 1]) / (z[b] - z[a])
-    c = [dd[0][n - 1]]
-    for b in range(n - 2, -1, -1):
-        c = [lo - z[b] * hi for lo, hi in zip([dd[0][b]] + c, c + [field.zero])]
-    return Poly(c, field)
+    field, p = data.field, data.field.p
+    nodes = [(a, b) for (a,), b in (_ints(field, (ui,)) for ui in data.u)]
+    total, den = [0] * data.n, 1
+    for i, (vi, ni) in enumerate(zip(data.v, data.n_vec)):
+        a, b = nodes[i]
+        H = [1]
+        for j, ((aj, bj), nj) in enumerate(zip(nodes, data.n_vec)):
+            if j == i:
+                continue
+            for _ in range(nj):
+                H = [bj * lo - aj * hi for lo, hi in zip([0] + H, H + [0])]
+                H = H if p is None else [c % p for c in H]
+        e, q = _shift(H, 1, a, b, ni, p)
+        w, L = _ints(field, vi)
+        e0, tau = e[0], []
+        for t in range(ni):
+            acc = w[t] * e0**t - sum(tau[s] * e[t - s] * e0 ** (t - 1 - s) for s in range(t))
+            tau.append(acc if p is None else acc % p)
+        P = [tau[-1]]
+        for t in range(ni - 2, -1, -1):
+            P = [b * lo - a * hi for lo, hi in zip([0] + P, P + [0])]
+            P[0] += tau[t] * (e0 * b) ** (ni - 1 - t)
+        N = [0] * data.n
+        for s, x in enumerate(P):
+            N[s : s + len(H)] = [y + x * h for y, h in zip(N[s : s + len(H)], H)]
+        f = Fraction(q, L * e0**ni * b ** (ni - 1)) if p is None else Fraction(pow(e0, -ni, p))
+        lcm = math.lcm(den, f.denominator)
+        up, mul = lcm // den, f.numerator * (lcm // f.denominator)
+        total, den = [y * up + x * mul for y, x in zip(total, N)], lcm
+    return Poly([_box(field, x, den) for x in total], field)
 
 
 def product_F(data: "HermiteData") -> Poly:

@@ -13,8 +13,9 @@ data sits in the odd-codimension stratum indexed by its defect.
 Routes, each finding the minimal pair its own way and then applying the
 node test of ``_classify_minimal``:
 
-- ``solve_kernel``: rank of the structured matrix gives the defect, and the
-  one-dimensional kernel of the matrix shrunk by the defect is the pair.
+- ``solve_kernel``: the kernel dimension of the structured matrix gives the
+  defect, and the one-dimensional kernel of the matrix shrunk by the defect
+  is the pair.
 - ``solve_eea``: extended Euclidean run on (node polynomial, confluent
   interpolant), stopped at the first remainder of degree <= k-1; that
   remainder and its Bezout cofactor are the minimal pair.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import determinant, kernel_basis, rank, signed_minors
+from .linalg import determinant, kernel_basis, signed_minors
 from .polynomial import Poly, _ints, _pseudo_step, evaluate, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
@@ -153,16 +154,20 @@ def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classificat
 def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     """Null-space route.
 
-    The defect d is the kernel dimension of the main matrix.  It fixes the
-    degree bounds of the minimal pair, deg A0 <= k-d and deg B0 <= n-k-d+1,
-    so the kernel of the matrix shrunk to those bounds is the line through
-    (A0, B0).  When d > k+1 the numerator bound drops below zero, A0 = 0,
-    and the A block of the shrunken matrix is empty.
+    The defect d is the kernel dimension of the main matrix, read off its
+    kernel basis.  It fixes the degree bounds of the minimal pair,
+    deg A0 <= k-d and deg B0 <= n-k-d+1, so the kernel of the matrix shrunk
+    to those bounds is the line through (A0, B0).  At d = 1 that is the main
+    matrix itself, and its one basis vector is the pair; only d > 1
+    eliminates the shrunken matrix.  When d > k+1 the numerator bound drops
+    below zero, A0 = 0, and the A block of the shrunken matrix is empty.
     """
     k, n = data.k, data.n
-    d = n + 1 - rank(build_matrix(data, k - 1, n - k))
+    basis = kernel_basis(build_matrix(data, k - 1, n - k))
+    d = len(basis)
     alpha = max(k - d, -1)
-    basis = kernel_basis(build_matrix(data, alpha, n - k - d + 1))
+    if d != 1:
+        basis = kernel_basis(build_matrix(data, alpha, n - k - d + 1))
     if len(basis) != 1:
         raise InternalInconsistency(
             f"shrunken kernel at defect {d} has {len(basis)} vectors on {data!r}"
@@ -232,6 +237,12 @@ def find_defect(data: HermiteData):
     vanishing conditions for the returned j automatic: they are exactly the
     certificates of the rejected smaller j.
 
+    Both certificates are read off signed-minor vectors.  cert_low is the
+    diagonal entry of the t = k-j+1 vector.  Deleting the last column of the
+    t = k+j-1 matrix leaves the matrix of Delta_{k+j,k+j}, so cert_up is
+    (-1)^(k+j+n) times that vector's last entry.  At j = 1 both come from
+    the one vector at t = k.
+
     Both charts are consulted for j <= m+1, the regime where both components
     of the minimal pair are nonzero.  Data that forces a zero minimal
     numerator has defect above m+1 and is only visible to the upper chart,
@@ -239,11 +250,13 @@ def find_defect(data: HermiteData):
     Delta_{n+1,n+1} is a confluent Vandermonde determinant and never
     vanishes.
     """
-    k = data.k
-    zero = data.field.zero
-    for j in range(1, data.n - k + 2):
-        cert_low = diagonal_minor(data, k - j + 1) if j <= data.m + 1 else zero
-        cert_up = diagonal_minor(data, k + j)
+    k, n = data.k, data.n
+    for j in range(1, n - k + 2):
+        up = minor_vector(data, k + j - 1)
+        cert_up = -up[n] if (k + j + n) % 2 else up[n]
+        cert_low = data.field.zero
+        if j <= data.m + 1:
+            cert_low = (up if j == 1 else minor_vector(data, k - j + 1))[k - j]
         if cert_low or cert_up:
             return j, cert_low, cert_up
     raise InternalInconsistency(

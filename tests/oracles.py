@@ -7,9 +7,10 @@ but wrong transcriptions of catalog identities, for showing that
 is the substitution under which the main matrix becomes a confluent
 Vandermonde matrix.
 
-``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref`` and ``gcd_ref``
-are plain loops on field scalars (``Fraction`` or ``PrimeFieldElement``),
-the references the int kernels of the package are compared against.
+``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref``, ``gcd_ref``
+and ``hermite_interpolant_ref`` are plain loops on field scalars
+(``Fraction`` or ``PrimeFieldElement``), the references the int kernels of
+the package are compared against.
 """
 
 import math
@@ -129,3 +130,26 @@ def gcd_ref(p: Poly, q: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def hermite_interpolant_ref(data: HermiteData) -> Poly:
+    """The confluent interpolant by Newton divided differences on the node
+    multiset, on field scalars; a confluent entry spanning j+1 copies of
+    u_i is v_{i,j} directly.  The Newton form is expanded by Horner,
+    c <- c (x - z_b) + dd[0][b]."""
+    field = data.field
+    owner = [i for i, ni in enumerate(data.n_vec) for _ in range(ni)]
+    z = [data.u[i] for i in owner]
+    n = len(z)
+    dd = [[field.zero] * n for _ in range(n)]
+    for span in range(n):
+        for a in range(n - span):
+            b = a + span
+            if owner[a] == owner[b]:
+                dd[a][b] = data.v[owner[a]][span]
+            else:
+                dd[a][b] = (dd[a + 1][b] - dd[a][b - 1]) / (z[b] - z[a])
+    c = [dd[0][n - 1]]
+    for b in range(n - 2, -1, -1):
+        c = [lo - z[b] * hi for lo, hi in zip([dd[0][b]] + c, c + [field.zero])]
+    return Poly(c, field)

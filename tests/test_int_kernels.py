@@ -1,9 +1,9 @@
 """The int kernels against the field-scalar loops of ``tests/oracles.py``.
 
-``evaluate``, ``taylor_prefix``, ``whip_residual`` and ``gcd`` run on
-cleared-denominator ints and box their results; every value must equal the
-reference exactly, over Q with node and value denominators up to 10 and
-over GF(5), GF(7) and GF(1000003).
+``evaluate``, ``taylor_prefix``, ``whip_residual``, ``gcd`` and
+``hermite_interpolant`` run on cleared-denominator ints and box their
+results; every value must equal the reference exactly, over Q with node and
+value denominators up to 10 and over GF(5), GF(7) and GF(1000003).
 """
 
 from fractions import Fraction
@@ -11,8 +11,23 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate_ref, gcd_ref, taylor_prefix_ref, whip_residual_ref
-from ratherm import FieldConfig, HermiteData, Poly, evaluate, gcd, taylor_prefix, whip_residual
+from oracles import (
+    evaluate_ref,
+    gcd_ref,
+    hermite_interpolant_ref,
+    taylor_prefix_ref,
+    whip_residual_ref,
+)
+from ratherm import (
+    FieldConfig,
+    HermiteData,
+    Poly,
+    evaluate,
+    gcd,
+    hermite_interpolant,
+    taylor_prefix,
+    whip_residual,
+)
 from ratherm.problem import RationalSolution, witness_nodes
 
 RAT = FieldConfig.rationals()
@@ -55,20 +70,27 @@ def test_zero_polynomial_and_empty_prefix():
 
 
 @st.composite
-def instances(draw):
-    """(data, pair): 1-3 nodes of multiplicity 1-3, zero-heavy values and a
-    pair of arbitrary degrees (not necessarily a solution)."""
+def problems(draw, max_nodes=3, max_mult=3):
+    """Problem data: distinct nodes (fractional over Q), multiplicities up
+    to ``max_mult`` and zero-heavy values."""
     field = draw(st.sampled_from(FIELDS))
     if field.p is None:
         node = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10))
     else:
         node = st.integers(0, field.p - 1).map(field.from_int)
-    u = draw(st.lists(node, min_size=1, max_size=3, unique=True))
-    n_vec = draw(st.lists(st.integers(1, 3), min_size=len(u), max_size=len(u)))
+    u = draw(st.lists(node, min_size=1, max_size=max_nodes, unique=True))
+    n_vec = draw(st.lists(st.integers(1, max_mult), min_size=len(u), max_size=len(u)))
     v = [draw(st.lists(scalars(field), min_size=ni, max_size=ni)) for ni in n_vec]
     k = draw(st.integers(1, sum(n_vec)))
-    data = HermiteData(u, n_vec, v, k, field)
-    return data, RationalSolution(draw(polys(field)), draw(polys(field)))
+    return HermiteData(u, n_vec, v, k, field)
+
+
+@st.composite
+def instances(draw):
+    """(data, pair): 1-3 nodes of multiplicity 1-3, zero-heavy values and a
+    pair of arbitrary degrees (not necessarily a solution)."""
+    data = draw(problems())
+    return data, RationalSolution(draw(polys(data.field)), draw(polys(data.field)))
 
 
 @settings(max_examples=150)
@@ -78,6 +100,12 @@ def test_whip_residual_and_witness_nodes_match_reference(inst):
     assert whip_residual(data, sol) == whip_residual_ref(data, sol)
     want = tuple(i for i, ui in enumerate(data.u) if not evaluate_ref(sol.B, ui))
     assert witness_nodes(data, sol.B) == want
+
+
+@settings(max_examples=150)
+@given(problems(max_nodes=4, max_mult=4))
+def test_hermite_interpolant_matches_reference(data):
+    assert hermite_interpolant(data) == hermite_interpolant_ref(data)
 
 
 @st.composite

@@ -5,18 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratherm import (
     ExactMatrix,
     FieldConfig,
+    InternalInconsistency,
     ShapeMismatch,
     determinant,
     kernel_basis,
     rank,
     signed_minors,
 )
+from ratherm.linalg import _kernel_vector
 from ratherm.problem import build_matrix, build_submatrix_i
 from ratherm.verify import random_data
 
@@ -50,16 +52,29 @@ def det_cofactor(rows):
     return total
 
 
-def rand_rows(rng, r, c, kind="int"):
-    """Random rows; "frac" rows each draw their own denominators."""
+def rand_rows(rng, r, c, kind="int", dep=0):
+    """Random rows; "frac" rows each draw their own denominators.
+
+    With ``dep``, that many columns other than the last, taken left to
+    right, are replaced by a random combination of the columns before them
+    (column 0 by zero): none of them carries a pivot, while a later column
+    still may.
+    """
     if kind == "int":
-        return [[Fraction(rng.randint(-9, 9)) for _ in range(c)] for _ in range(r)]
-    if kind == "frac":
-        return [
+        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(c)] for _ in range(r)]
+    elif kind == "frac":
+        rows = [
             [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(c)]
             for dens in ([rng.randint(1, 12) for _ in range(2)] for _ in range(r))
         ]
-    return [[kind.from_int(rng.randrange(kind.p)) for _ in range(c)] for _ in range(r)]
+    else:
+        rows = [[kind.from_int(rng.randrange(kind.p)) for _ in range(c)] for _ in range(r)]
+    zero = field_of(kind).zero
+    for j in sorted(rng.sample(range(c - 1), min(dep, c - 1))):
+        coeffs = [rng.randint(-2, 2) for _ in range(j)]
+        for row in rows:
+            row[j] = sum((a * row[i] for i, a in enumerate(coeffs)), zero)
+    return rows
 
 
 def field_of(kind):
@@ -157,13 +172,23 @@ def test_rank_known_cases():
 
 
 @given(
-    st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6), st.sampled_from(KINDS)
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 10**6),
+    st.sampled_from(KINDS),
+    st.integers(0, 2),
 )
-@settings(max_examples=120)
-def test_kernel_basis_properties(r, c, seed, kind):
+@settings(max_examples=150)
+# Each of these draws has rank 3 and two free columns ahead of its last
+# pivot column, so back substitution steps over skipped columns.
+@example(r=3, c=6, seed=1, kind="int", dep=2)
+@example(r=3, c=6, seed=0, kind="frac", dep=2)
+@example(r=3, c=6, seed=0, kind=GF7, dep=2)
+@example(r=3, c=6, seed=0, kind=GF13, dep=2)
+def test_kernel_basis_properties(r, c, seed, kind, dep):
     rng = random.Random(seed)
     field = field_of(kind)
-    m = M(rand_rows(rng, r, c, kind), field)
+    m = M(rand_rows(rng, r, c, kind, dep), field)
     basis = kernel_basis(m)
     assert len(basis) == c - rank(m)
     for vec in basis:
@@ -173,6 +198,14 @@ def test_kernel_basis_properties(r, c, seed, kind):
     if basis:
         stacked = ExactMatrix([list(v) for v in basis], field)
         assert rank(stacked) == len(basis)
+
+
+def test_back_substitution_rejects_inexact_division():
+    """Rows that are not the echelon form of M leave a remainder over Q."""
+    m = M([[2, 1]])
+    assert _kernel_vector(m, [[2, 1]], [0], 2, 1) == [-1, 2]
+    with pytest.raises(InternalInconsistency):
+        _kernel_vector(m, [[2, 1]], [0], 1, 1)
 
 
 def test_signed_minors_worked_example():

@@ -32,6 +32,7 @@ from ratherm import (
     rank,
     rational_taylor,
     rhip_check,
+    sample_stratum,
     solve_eea,
     solve_kernel,
     solve_minors,
@@ -257,6 +258,34 @@ DEGENERATE = [
     (HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT), 3, (0,)),
     (HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT), 3, (1,)),
 ]
+
+
+def _sign_law_instances():
+    """sample_stratum draws at every feasible defect, plain and forced, and
+    zero-numerator data of defect above m+1, over Q, GF(7) and GF(1000003)."""
+    out = []
+    for field in (RAT, GF7, FieldConfig.prime(1000003)):
+        for shape, k in [((2, 1), 2), ((5,), 3), ((3, 3), 3), ((2, 2, 1), 3), ((4, 2), 3)]:
+            m = min(k - 1, sum(shape) - k)
+            for forced, top in ((False, m + 1), (True, m)):
+                for j in range(1, top + 1):
+                    out.append(sample_stratum(shape, k, j, forced, 40 + j, field))
+        for d, _, _ in DEGENERATE:
+            v = [[int(x) for x in vi] for vi in d.v]
+            out.append(HermiteData([int(x) for x in d.u], d.n_vec, v, d.k, field))
+    return out
+
+
+def test_find_defect_certificates_are_diagonal_minors():
+    """find_defect reads its certificates off signed-minor vectors; they
+    must be the diagonal minors, sign included."""
+    beyond = 0
+    for d in _sign_law_instances():
+        j, cert_low, cert_up = find_defect(d)
+        lower = diagonal_minor(d, d.k - j + 1) if j <= d.m + 1 else d.field.zero
+        assert (cert_low, cert_up) == (lower, diagonal_minor(d, d.k + j))
+        beyond += j > d.m + 1
+    assert beyond == 3 * len(DEGENERATE)
 
 
 @pytest.mark.parametrize("d,defect,wits", DEGENERATE, ids=["n3", "n4", "split"])
