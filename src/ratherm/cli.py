@@ -40,14 +40,7 @@ from .errors import (
 from .field import RATIONALS, FieldConfig, parse_json_int
 from .polynomial import Poly, eea, gcd, hermite_interpolant, product_F, terminal_row
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
-from .solvers import (
-    MinimalSolution,
-    diagonal_minor,
-    minor_vector,
-    solve_eea,
-    solve_kernel,
-    solve_minors,
-)
+from .solvers import MinimalSolution, minor_vector, solve_eea, solve_kernel, solve_minors
 from .strata import classify_by_rank, diagonal_window, stratum_equations
 from .verify import check_identity, paper_identity_catalog, sample_stratum
 
@@ -243,8 +236,8 @@ def cmd_minors(args, data: HermiteData) -> int:
     fmt = data.field.format_scalar
     table = {}
     pretty = []
-    for t in range(t_min, t_max + 1):
-        mv = minor_vector(data, t)
+    vectors = {t: minor_vector(data, t) for t in range(t_min, t_max + 1)}
+    for t, mv in vectors.items():
         M = build_matrix(data, t - 1, n - t)
         annihilates = not any(M.mul_vector(mv))
         table[str(t)] = {
@@ -255,7 +248,7 @@ def cmd_minors(args, data: HermiteData) -> int:
             f"t={t}: ({', '.join(map(str, mv))})  annihilates={annihilates}"
         )
     # minor vectors are indexed from 1, so there is no Delta_{0,0}
-    diag = {t: diagonal_minor(data, t) for t in range(max(t_min, 1), t_max + 1)}
+    diag = {t: mv[t - 1] for t, mv in vectors.items() if t}
     pretty.append(
         "diagonal: " + ", ".join(f"({t},{t})={x}" for t, x in diag.items())
     )

@@ -230,18 +230,19 @@ def solve_eea(data: HermiteData) -> Classification:
 
 
 def find_defect(data: HermiteData):
-    """Smallest j whose chart certificate is nonzero.
+    """Smallest j whose chart certificate is nonzero, and that chart's vector.
 
-    Returns (j, cert_low, cert_up) with cert_low = Delta_{k-j+1,k-j+1} and
-    cert_up = Delta_{k+j,k+j}.  The ascending scan makes the interior
-    vanishing conditions for the returned j automatic: they are exactly the
-    certificates of the rejected smaller j.
+    Returns (j, cert_low, cert_up, mv) with cert_low = Delta_{k-j+1,k-j+1},
+    cert_up = Delta_{k+j,k+j}, and mv the signed-minor vector the chart
+    slice reads: t = k-j+1 when cert_low is nonzero, else t = k+j-1.  The
+    ascending scan makes the interior vanishing conditions for the returned
+    j automatic: they are exactly the certificates of the rejected smaller j.
 
-    Both certificates are read off signed-minor vectors.  cert_low is the
-    diagonal entry of the t = k-j+1 vector.  Deleting the last column of the
-    t = k+j-1 matrix leaves the matrix of Delta_{k+j,k+j}, so cert_up is
-    (-1)^(k+j+n) times that vector's last entry.  At j = 1 both come from
-    the one vector at t = k.
+    cert_low is the diagonal entry of the t = k-j+1 vector.  Deleting the
+    last column of the t = k+j-1 matrix leaves the matrix of
+    Delta_{k+j,k+j}, so cert_up is (-1)^(k+j+n) times that vector's last
+    entry.  At j = 1 both come from the one vector at t = k.  Handing mv on
+    to ``chart_pair`` means no matrix of the route is eliminated twice.
 
     Both charts are consulted for j <= m+1, the regime where both components
     of the minimal pair are nonzero.  Data that forces a zero minimal
@@ -254,21 +255,23 @@ def find_defect(data: HermiteData):
     for j in range(1, n - k + 2):
         up = minor_vector(data, k + j - 1)
         cert_up = -up[n] if (k + j + n) % 2 else up[n]
-        cert_low = data.field.zero
+        low, cert_low = up, data.field.zero
         if j <= data.m + 1:
-            cert_low = (up if j == 1 else minor_vector(data, k - j + 1))[k - j]
+            low = up if j == 1 else minor_vector(data, k - j + 1)
+            cert_low = low[k - j]
         if cert_low or cert_up:
-            return j, cert_low, cert_up
+            return j, cert_low, cert_up, low if cert_low else up
     raise InternalInconsistency(
         f"no nonzero chart certificate at any defect on {data!r}"
     )
 
 
-def chart_pair(data: HermiteData, j: int, upper: bool) -> tuple[Poly, Poly]:
+def chart_pair(data: HermiteData, j: int, upper: bool, mv: tuple) -> tuple[Poly, Poly]:
     """The closed-form candidate pair of defect j from one chart, unscaled.
 
-    Lower chart (certificate Delta_{k-j+1,k-j+1}): slice the t = k-j+1
-    minor vector into A over l = 0..k-j and B over l = k-j+1..n-2j+2;
+    mv is the chart's vector ``minor_vector(data, t)``, as ``find_defect``
+    returns it.  Lower chart (certificate Delta_{k-j+1,k-j+1}): slice the
+    t = k-j+1 vector into A over l = 0..k-j and B over l = k-j+1..n-2j+2;
     entries above that must vanish.  Upper chart (certificate
     Delta_{k+j,k+j}): t = k+j-1, A over l = 0..k-j, a forced-zero gap
     l = k-j+1..k+j-2, B over l = k+j-1..n.  The gap/tail checks are only
@@ -282,7 +285,6 @@ def chart_pair(data: HermiteData, j: int, upper: bool) -> tuple[Poly, Poly]:
     """
     k, n = data.k, data.n
     t = k + j - 1 if upper else k - j + 1
-    mv = minor_vector(data, t)
     # In-vector certificates: the lower chart's is its own diagonal entry;
     # the upper chart's Delta_{k+j,k+j} equals this vector's last entry up
     # to a sign, so nonvanishing may be read off without a second matrix.
@@ -308,8 +310,8 @@ def solve_minors(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     The defect is certified by the first nonzero diagonal minor flanking
     the vanishing run; the minimal pair is the corresponding chart slice.
     """
-    j, cert_low, cert_up = find_defect(data)
-    A, B = chart_pair(data, j, upper=not cert_low)
+    j, cert_low, cert_up, mv = find_defect(data)
+    A, B = chart_pair(data, j, not cert_low, mv)
     if A.is_zero and B.is_zero:
         raise InternalInconsistency(
             f"certified chart produced the zero pair on {data!r}"

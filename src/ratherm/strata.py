@@ -2,10 +2,11 @@
 
 The unattainable set decomposes by defect j into strata of odd codimension
 2j-1, each a union of per-node components.  This module re-derives that
-picture two independent ways: ``classify_by_rank`` uses nothing but ranks
-of shrunken and row/column-deleted matrices, and ``stratum_equations``
-evaluates the closed-form chart polynomials whose zero sets cut the strata
-out, reading witnesses with the solvers' node test.  Both emit a
+picture two independent ways: ``classify_by_rank`` reads the defect off one
+rank of the main matrix and the witnesses off ranks of row/column-deleted
+matrices, and ``stratum_equations`` evaluates the closed-form chart
+polynomials, sliced from minor vectors, whose zero sets cut the strata out,
+reading witnesses with the solvers' node test.  Both emit a
 :class:`StratumReport`; agreement with the solver routes, and with the
 closed form of the first stratum on shape (2,1), is enforced by the test
 suite on every instance it touches.
@@ -93,34 +94,31 @@ def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[i
 def classify_by_rank(data: HermiteData) -> StratumReport:
     """Rank-only classifier.
 
-    Shrink both degree bounds by j, starting at j = m, while the shrunken
-    matrix has trivial kernel (full column rank n-2j+1); the exit value
-    j0 - 1 certifies defect j0.  Then, per node, delete the last row of that
-    node's block and the final column of each side: the data is unattainable
-    through node i exactly when this submatrix loses full column rank.
+    The defect is the kernel dimension of the main (k-1, n-k) matrix,
+    (n+1) - rank, in every regime.  Shrinking both degree bounds by j drops
+    columns, so the j-shrunken matrix is a column subset of the
+    (j-1)-shrunken one: full column rank is monotone in j, and it holds
+    exactly for j >= defect, so the one main rank already decides the
+    kernel of every shrunken matrix.
 
-    Data forcing a zero minimal numerator has defect above m+1, beyond the
-    reach of the shrunken matrices; the descending scan then stalls at its
-    starting point and the defect is read off as the main matrix's kernel
-    dimension instead.  Witnesses in that regime come from appending the
-    per-node evaluation functional to the main matrix and checking that the
-    rank does not move.
+    For defect <= m+1, per node, delete the last row of that node's block
+    and the final column of each side of the (defect-1)-shrunken matrix:
+    the data is unattainable through node i exactly when this submatrix
+    loses full column rank.  Data forcing a zero minimal numerator has
+    defect above m+1, beyond the reach of the shrunken matrices; witnesses
+    there come from appending the per-node evaluation functional to the
+    main matrix and checking that the rank does not move.
     """
     k, n, m = data.k, data.n, data.m
-    j = m
-    while j >= 1 and rank(build_matrix(data, k - 1 - j, n - k - j)) == n - 2 * j + 1:
-        j -= 1
-    defect = j + 1
-    if defect == m + 1:
-        main = build_matrix(data, k - 1, n - k)
-        main_rank = rank(main)
-        defect = max(defect, (n + 1) - main_rank)
+    main = build_matrix(data, k - 1, n - k)
+    main_rank = rank(main)
+    defect = (n + 1) - main_rank
     if defect <= m + 1:
-        alpha, beta = k - 1 - j, n - k - j
+        j = defect - 1
         width = n - 2 * j + 1
         witnesses = []
         for i in range(1, data.l + 1):
-            sub = build_submatrix_i(data, alpha, beta, i, drop_cols=(k - j, width))
+            sub = build_submatrix_i(data, k - 1 - j, n - k - j, i, drop_cols=(k - j, width))
             if rank(sub) < width - 2:
                 witnesses.append(i - 1)
     else:
@@ -145,8 +143,8 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     the two charts give proportional denominators, so the lower one is
     evaluated.
     """
-    j, cert_low, cert_up = find_defect(data)
-    _, B = chart_pair(data, j, upper=not cert_low)
+    j, cert_low, cert_up, mv = find_defect(data)
+    _, B = chart_pair(data, j, not cert_low, mv)
     if B.is_zero:
         raise InternalInconsistency(f"certified chart denominator is zero on {data!r}")
     witnesses = witness_nodes(data, B)

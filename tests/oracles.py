@@ -5,7 +5,9 @@
 but wrong transcriptions of catalog identities, for showing that
 ``check_identity`` rejects false identities; ``specialized_vandermonde_data``
 is the substitution under which the main matrix becomes a confluent
-Vandermonde matrix.
+Vandermonde matrix.  ``defect_by_scan_ref`` is the descending scan of
+shrunken-matrix ranks the rank classifier once ran, kept to show that the
+one main rank gives the same defect.
 
 ``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref``, ``gcd_ref``
 and ``hermite_interpolant_ref`` are plain loops on field scalars
@@ -16,7 +18,7 @@ the package are compared against.
 import math
 from dataclasses import replace
 
-from ratherm import HermiteData, Poly, classify_by_rank, paper_identity_catalog
+from ratherm import HermiteData, Poly, build_matrix, classify_by_rank, paper_identity_catalog, rank
 from ratherm.errors import ShapeMismatch
 from ratherm.field import RATIONALS
 
@@ -37,6 +39,21 @@ def b1_closed_form_check(data: HermiteData) -> bool:
     same_value = not (v10 - v20)
     predicted = (same_value and bool(v11)) or (not v11 and not same_value)
     return predicted == classify_by_rank(data).unattainable
+
+
+def defect_by_scan_ref(data: HermiteData) -> int:
+    """Defect by the descending scan: shrink both degree bounds by j,
+    starting at j = m, while the shrunken matrix keeps full column rank
+    n-2j+1; the exit value j0 - 1 certifies defect j0.  When the scan
+    stalls at its start, the defect may exceed m+1 (a zero minimal
+    numerator) and is read off the main matrix's kernel dimension."""
+    k, n, m = data.k, data.n, data.m
+    j = m
+    while j >= 1 and rank(build_matrix(data, k - 1 - j, n - k - j)) == n - 2 * j + 1:
+        j -= 1
+    if j < m:
+        return j + 1
+    return max(m + 1, (n + 1) - rank(build_matrix(data, k - 1, n - k)))
 
 
 def disputed_variants():

@@ -200,7 +200,7 @@ def test_criterion_4_three_route_agreement():
         assert minsol_k.kernel_dim == minsol_k.s0 + 1 == dim
         assert minsol_m == minsol_k
         # vanishing pattern of diagonal minors certifies exactly the defect
-        j, cert_low, cert_up = find_defect(d)
+        j, cert_low, cert_up, _ = find_defect(d)
         assert j == dim
         assert cert_low or cert_up
         for jj in range(1, j):
@@ -210,8 +210,8 @@ def test_criterion_4_three_route_agreement():
         # chart proportionality when both certificates are nonzero
         if cert_low and cert_up:
             both_charts += 1
-            A_lo, B_lo = chart_pair(d, j, upper=False)
-            A_up, B_up = chart_pair(d, j, upper=True)
+            A_lo, B_lo = chart_pair(d, j, False, minor_vector(d, d.k - j + 1))
+            A_up, B_up = chart_pair(d, j, True, minor_vector(d, d.k + j - 1))
             assert A_lo * B_up == A_up * B_lo
     assert solvable and unattainable and both_charts
     dt = time.perf_counter() - t0

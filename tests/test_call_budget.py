@@ -1,0 +1,76 @@
+"""Elimination budgets: each route and classifier eliminates every distinct
+matrix it needs once.
+
+The counters wrap ``signed_minors`` and ``rank`` where ``solvers`` and
+``strata`` import them, so every call a route or classifier makes is seen.
+"""
+
+import random
+
+import pytest
+
+from ratherm import (
+    FieldConfig,
+    HermiteData,
+    classify_by_rank,
+    sample_stratum,
+    solve_minors,
+    solvers,
+    strata,
+    stratum_equations,
+)
+from ratherm.verify import random_data
+
+RAT = FieldConfig.rationals()
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.fixture
+def generic():
+    """Generic (4,4,4,4), k = 8 data over Q: defect 1."""
+    return [random_data(random.Random(seed), (4, 4, 4, 4), 8, RAT) for seed in range(1, 4)]
+
+
+def test_minors_route_and_stratum_equations_eliminate_one_vector(monkeypatch, generic):
+    calls = _count(monkeypatch, solvers, "signed_minors")
+    for d in generic:
+        calls.clear()
+        minsol, _ = solve_minors(d)
+        assert minsol.kernel_dim == 1
+        assert len(calls) == 1
+        calls.clear()
+        stratum_equations(d)
+        assert len(calls) == 1
+
+
+def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic):
+    """One main rank gives the defect in both regimes; each node then costs
+    one rank, a deleted-row submatrix at defect <= m+1 or the main matrix
+    with that node's evaluation row appended."""
+    calls = _count(monkeypatch, strata, "rank")
+    draws = [
+        sample_stratum((3, 3, 2), 4, j, forced, 80 + j, field)
+        for field in (RAT, FieldConfig.prime(1000003))
+        for forced, top in ((False, 4), (True, 3))
+        for j in range(1, top + 1)
+    ]
+    zero_numerator = [
+        HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT),
+        HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT),
+    ]
+    for d in generic + draws + zero_numerator:
+        calls.clear()
+        rep = classify_by_rank(d)
+        assert (rep.defect > d.m + 1) == (d in zero_numerator)
+        assert len(calls) == 1 + d.l

@@ -101,7 +101,7 @@ def test_golden_minors_route(golden):
     minsol, verdict = solve_minors(golden)
     assert minsol.A0 == minsol.B0 == Poly((-2, 1), RAT)
     assert (verdict.stratum_j, verdict.witness_nodes) == (1, (1,))
-    j, cert_low, cert_up = find_defect(golden)
+    j, cert_low, cert_up, _ = find_defect(golden)
     assert j == 1
     assert cert_low == diagonal_minor(golden, 2) == Fraction(1)
     assert cert_up == diagonal_minor(golden, 3) == Fraction(1)
@@ -222,7 +222,7 @@ def test_find_defect_matches_kernel_dimension():
     for shape, k in SHAPES:
         for _ in range(3):
             d = random_data(rng, shape, k)
-            j, cert_low, cert_up = find_defect(d)
+            j, cert_low, cert_up, _ = find_defect(d)
             dim = (d.n + 1) - rank(build_matrix(d, d.k - 1, d.n - d.k))
             assert j == dim
             assert cert_low or cert_up
@@ -239,12 +239,12 @@ def test_charts_are_proportional_when_both_certified():
     for shape, k in SHAPES:
         for _ in range(4):
             d = random_data(rng, shape, k)
-            j, cert_low, cert_up = find_defect(d)
+            j, cert_low, cert_up, _ = find_defect(d)
             if not (cert_low and cert_up):
                 continue
             seen += 1
-            A_lo, B_lo = chart_pair(d, j, upper=False)
-            A_up, B_up = chart_pair(d, j, upper=True)
+            A_lo, B_lo = chart_pair(d, j, False, minor_vector(d, d.k - j + 1))
+            A_up, B_up = chart_pair(d, j, True, minor_vector(d, d.k + j - 1))
             assert A_lo * B_up == A_up * B_lo
             assert not (A_lo.is_zero and B_lo.is_zero)
     assert seen >= 10  # generic data certifies both charts
@@ -281,11 +281,45 @@ def test_find_defect_certificates_are_diagonal_minors():
     must be the diagonal minors, sign included."""
     beyond = 0
     for d in _sign_law_instances():
-        j, cert_low, cert_up = find_defect(d)
+        j, cert_low, cert_up, _ = find_defect(d)
         lower = diagonal_minor(d, d.k - j + 1) if j <= d.m + 1 else d.field.zero
         assert (cert_low, cert_up) == (lower, diagonal_minor(d, d.k + j))
         beyond += j > d.m + 1
     assert beyond == 3 * len(DEGENERATE)
+
+
+def _upper_only_instances():
+    """Solvable data of defect 2..m+1 whose numerator degree falls short of
+    k-j, so the lower certificate vanishes and only the upper chart holds:
+    Taylor data of A/B with B of degree n-k-j+1, positive at the nodes."""
+    out = []
+    for shape, k, j, A in [
+        ((5,), 3, 2, (3,)), ((3, 3), 3, 2, (-2,)), ((2, 2, 1), 3, 2, (5,)), ((4, 4), 5, 3, (3, 1)),
+    ]:
+        B = Poly([7] + [1] * (sum(shape) - k - j + 1), RAT)
+        u = tuple(range(len(shape)))
+        v = tuple(rational_taylor(Poly(A, RAT), B, Fraction(x), ni) for x, ni in zip(u, shape))
+        out.append((HermiteData(u, shape, v, k, RAT), j))
+    return out
+
+
+def test_find_defect_returns_the_certified_charts_vector():
+    """The vector find_defect hands to chart_pair is the chosen chart's:
+    t = k-j+1 under a nonzero lower certificate, else t = k+j-1.  At j = 1
+    both charts read t = k, so the draws at defect 2..m+1, with either
+    certificate alone or both, tell them apart."""
+    split = 0
+    for d in _sign_law_instances():
+        j, cert_low, _, mv = find_defect(d)
+        t = d.k - j + 1 if cert_low else d.k + j - 1
+        assert mv == minor_vector(d, t)
+        split += 2 <= j <= d.m + 1
+    assert split >= 30
+    for d, defect in _upper_only_instances():
+        j, cert_low, cert_up, mv = find_defect(d)
+        assert (j, cert_low) == (defect, 0) and 2 <= j <= d.m + 1 and cert_up
+        assert mv == minor_vector(d, d.k + j - 1)
+        assert solve_minors(d)[1].solvable
 
 
 @pytest.mark.parametrize("d,defect,wits", DEGENERATE, ids=["n3", "n4", "split"])
@@ -300,7 +334,7 @@ def test_zero_numerator_defect_beyond_generic_bound(d, defect, wits):
     minsol_m, verdict_m = solve_minors(d)
     assert verdict_m == verdict
     assert minsol_m == minsol
-    j, cert_low, cert_up = find_defect(d)
+    j, cert_low, cert_up, _ = find_defect(d)
     assert (j, cert_low) == (defect, Fraction(0))
     assert cert_up
     # the minimal denominator factors into node differences only

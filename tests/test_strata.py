@@ -1,8 +1,10 @@
 """Rank-only classification and chart-equation classification, checked
 against each other and against the kernel route."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,13 @@ from ratherm import (
     ShapeMismatch,
     classify_by_rank,
     rational_taylor,
+    sample_stratum,
     solve_kernel,
     stratum_equations,
 )
 from ratherm.strata import diagonal_window
 
-from oracles import b1_closed_form_check
+from oracles import b1_closed_form_check, defect_by_scan_ref
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -139,6 +142,27 @@ def test_classifiers_cover_zero_numerator_regime(d, defect, wits):
     assert rep.witnesses == wits
     assert rep == stratum_equations(d)
     assert rank_verdict_matches_kernel(d)
+
+
+def test_main_rank_defect_matches_descending_scan():
+    """classify_by_rank reads the defect off one main rank; the old scan of
+    shrunken ranks must give the same value, on draws at every feasible
+    defect and on zero-numerator data with defect above m+1."""
+    docs = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+    corpus = [HermiteData.from_json_dict(doc) for doc in docs["documents"]]
+    draws = []
+    for field in (RAT, FieldConfig.prime(7), FieldConfig.prime(1000003)):
+        for shape, k in [((2, 1), 2), ((5,), 3), ((3, 3), 3), ((2, 2, 1), 3), ((4, 2), 3)]:
+            m = min(k - 1, sum(shape) - k)
+            for forced, top in ((False, m + 1), (True, m)):
+                for j in range(1, top + 1):
+                    draws.append(sample_stratum(shape, k, j, forced, 60 + j, field))
+    beyond = 0
+    for d in draws + corpus + [d for d, _, _ in DEGENERATE]:
+        defect = classify_by_rank(d).defect
+        assert defect_by_scan_ref(d) == defect
+        beyond += defect > d.m + 1
+    assert beyond >= 10 + len(DEGENERATE)
 
 
 def test_zero_data_classified_solvable():
