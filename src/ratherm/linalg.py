@@ -1,11 +1,10 @@
 """Exact dense linear algebra: rank, determinant, kernel bases and signed
-maximal minors, all read off one fraction-free elimination on plain ints,
-and submatrices by index selection.  An :class:`ExactMatrix` stores int
-rows (numerators over one row denominator over Q, residues over GF(p));
-a row is boxed into field scalars only when it is read, and so are
-returned values.  Every function runs one forward elimination;
-``kernel_basis`` and ``signed_minors`` then rebuild their kernel vectors by
-fraction-free back substitution on the echelon rows.
+maximal minors, each read off one forward elimination on plain ints
+(fraction-free over Q, with unit pivots over GF(p)) and, for kernels and
+minors, back substitution on the echelon rows; and submatrices by index
+selection.  An :class:`ExactMatrix` stores int rows (numerators over one
+row denominator over Q, residues over GF(p)); a row is boxed into field
+scalars only when it is read, and so are returned values.
 
 Row and column indices are 0-based everywhere in this module, and so are
 the positions of a signed-minor tuple: the minor written with 1-based
@@ -108,17 +107,18 @@ class ExactMatrix:
 
 
 def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
-    """One fraction-free forward elimination over the int rows of M.
+    """One forward elimination over the int rows of M.
 
     Each row is first put in lowest terms (a slice may not need all of its
     row's denominator); ``scale`` is the product of the denominators left.
-    At each pivot d, a row below it becomes (d*x - f*y) / prev right of the
-    pivot column, with f its entry in that column, y the pivot row's entry
-    and prev the previous pivot.  Over Q every entry stays a minor of the
-    numerator matrix, so the division is exact (Bareiss 1968); over GF(p)
-    it is one inverse per pivot.  A column without a nonzero entry at or
-    below the current row is skipped.  Pivot row i ends up holding the i-th
-    pivot in column pivots[i]; its entries left of that column are stale.
+    Over Q, at each pivot d, a row below it becomes (d*x - f*y) / prev right
+    of the pivot column, with f its entry in that column, y the pivot row's
+    entry and prev the previous pivot; entries stay minors of the numerator
+    matrix, so the division is exact (Bareiss 1968).  Over GF(p) one inverse
+    scales the pivot row to 1, a row below with f != 0 becomes x - f*y, and
+    prev is the product of the pivots.  Columns with no nonzero entry at or
+    below the current row are skipped.  Pivot row i holds the i-th pivot
+    (1 over GF(p)) in column pivots[i], with stale entries left of it.
 
     Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
     columns, the numerator rows have determinant (-1)^parity * last_pivot,
@@ -140,19 +140,20 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             parity = not parity
-        top = rows[k]
+        top, lo = rows[k], col + 1
         d = top[col]
-        inv = None if p is None else pow(prev, -1, p)
-        lo = col + 1
+        if p is not None:
+            inv = pow(d, -1, p)
+            top = rows[k] = top[:col] + [1] + [y * inv % p for y in top[lo:]]
+        tail = top[lo:]
         for i in range(k + 1, M.r):
-            row = rows[i]
-            f, pairs = row[col], zip(row[lo:], top[lo:])
+            row, f = rows[i], rows[i][col]
             if p is None:
-                rows[i] = row[:lo] + [(d * x - f * y) // prev for x, y in pairs]
-            else:
-                rows[i] = row[:lo] + [(d * x - f * y) * inv % p for x, y in pairs]
+                rows[i] = row[:lo] + [(d * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+            elif f:
+                rows[i] = row[:lo] + [(x - f * y) % p for x, y in zip(row[lo:], tail)]
         pivots.append(col)
-        prev = d
+        prev = d if p is None else prev * d % p
     return rows, pivots, prev, parity, scale
 
 
@@ -164,7 +165,7 @@ def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) 
 
     It is the kernel vector with last_pivot at f, which Cramer's rule makes
     integral, so over Q every division is exact; a remainder means the rows
-    are not M's echelon form.  Over GF(p) each pivot is inverted once.
+    are not M's echelon form.  Over GF(p) the pivots are 1.
     """
     p = M.field.p
     v = [0] * M.c
@@ -173,7 +174,7 @@ def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) 
         col, row = pivots[i], rows[i]
         s = sum(x * y for x, y in zip(row[col + 1 :], v[col + 1 :]) if y)
         if p is not None:
-            v[col] = -s * pow(row[col], -1, p) % p
+            v[col] = -s % p
             continue
         v[col], rem = divmod(-s, row[col])
         if rem:

@@ -10,9 +10,9 @@ remaindering), the node product polynomial, and Taylor coefficients of a
 rational function (power-series division, no symbolic quotient rule).
 
 ``Poly`` arithmetic and the ``eea`` table run on field scalars.
-``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node), ``gcd``
-(a primitive remainder sequence), ``hermite_interpolant``, ``product_F``
-and the pseudo-division step shared with ``solvers.solve_eea`` run on
+``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node),
+``hermite_interpolant``, ``product_F`` and ``_remainders`` (the remainder
+sequence of ``gcd``, ``solve_eea`` and ``diagonal_window``) run on
 cleared-denominator ints from ``_ints`` and box only their results.
 """
 
@@ -293,23 +293,38 @@ def evaluate(p: Poly, x0) -> Scalar:
     return taylor_prefix(p, x0, 1)[0]
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(p, 0) = monic(p).
-
-    A primitive remainder sequence on ints (Collins 1967; Brown & Traub
-    1971): over Q each pseudo-remainder is divided by its content, over
-    GF(p) the remainders are residues; the last nonzero one, made monic.
+def _remainders(R0: list, d0: int, R: list, d1: int, p):
+    """Euclid on (F, G) = (R0 / d0, R / d1), ascending int lists with
+    deg R0 >= deg R - 1 (d0 = d1 = 1 over GF(p)), as a primitive remainder
+    sequence (Collins 1967; Brown & Traub 1971): rows (P_i, q_i, T_i, c_i)
+    from (R0, [], [], 1/d0), (R, [], [1], 1/d1) to the first zero P_i.  Row
+    i is a ``_pseudo_step`` lc^e P_{i-2} = q_i P_{i-1} + r with
+    T = lc^e T_{i-2} - q_i T_{i-1}, (r, T) divided by its joint content g
+    over Q, reduced over GF(p) (lc^e = g = 1).  T_i is P_i's Bezout cofactor
+    of R, and r_i = c_i P_i, c_i = c_{i-2} g / lc^e, is (F, G)'s remainder.
     """
+    T0, T, c0, c = [], [1], Fraction(1, d0), Fraction(1, d1)
+    yield from ((R0, [], T0, c0), (R, [], T, c))
+    while R:
+        s, q, r = _pseudo_step(R0, R, p)
+        t = [s * x for x in T0] + [0] * (len(q) + len(T) - 1 - len(T0))
+        for i, a in enumerate(q):
+            t[i : i + len(T)] = [x - a * y for x, y in zip(t[i : i + len(T)], T)]
+        g = math.gcd(*r, *t) if p is None else 1
+        r, t = [x // g for x in r], [x // g if p is None else x % p for x in t]
+        (R0, T0, c0), (R, T, c) = (R, T, c), (r, t, c0 * Fraction(g, s))
+        yield R, q, T, c
+
+
+def gcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor; gcd(p, 0) = monic(p): the last nonzero
+    remainder of ``_remainders``, made monic."""
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     if q.field != p.field:
         raise MixedFields(f"{p.field} vs {q.field}")
     a, b = sorted((_ints(p.field, P.coeffs)[0] for P in (p, q)), key=len, reverse=True)
-    while b:
-        r = _pseudo_step(a, b, p.field.p)[2]
-        g = math.gcd(*r) if p.field.p is None else 1
-        a, b = b, [c // g for c in r] if g > 1 else r
-    return Poly(a, p.field).monic()
+    return Poly([P for P, _, _, _ in _remainders(a, 1, b, 1, p.field.p) if P][-1], p.field).monic()
 
 
 def eea(F: Poly, G: Poly) -> list[EEARow]:

@@ -32,13 +32,12 @@ catalog checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
 from .linalg import determinant, kernel_basis, signed_minors
-from .polynomial import Poly, _ints, _pseudo_step, evaluate, hermite_interpolant, product_F
+from .polynomial import Poly, _ints, _remainders, evaluate, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
 
@@ -184,28 +183,6 @@ def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     return minsol, _classify_minimal(data, minsol)
 
 
-def _cut_row(R0: list, R: list, k: int, p) -> tuple[list, list]:
-    """Euclid on ascending int coefficient lists from the rows (R0, 0), (R, 1)
-    to the first remainder of degree <= k-1 or zero; returns it and its
-    Bezout cofactor T, up to a common factor.  A step is the shared
-    ``_pseudo_step``, lc^e R0 = q R + r, then T_new = lc^e T0 - q T; over Q
-    (p None) (r, T_new) is divided by its joint content (a primitive PRS),
-    over GF(p) it is reduced to residues (lc^e = 1)."""
-    T0, T = [], [1]
-    while len(R) > k:
-        s, q, r = _pseudo_step(R0, R, p)
-        t = [s * c for c in T0] + [0] * (len(q) + len(T) - 1 - len(T0))
-        for i, a in enumerate(q):
-            t[i : i + len(T)] = [x - a * y for x, y in zip(t[i : i + len(T)], T)]
-        if p is None:
-            g = math.gcd(*r, *t)
-            r, t = [c // g for c in r], [c // g for c in t]
-        else:
-            t = [c % p for c in t]
-        (R0, T0), (R, T) = (R, T), (r, t)
-    return R, T
-
-
 def solve_eea(data: HermiteData) -> Classification:
     """Euclidean route.
 
@@ -214,8 +191,8 @@ def solve_eea(data: HermiteData) -> Classification:
     row's remainder and Bezout cofactor T are the minimal pair, and only T
     is carried.  A zero remainder (G = 0, or F and G sharing a factor of
     degree >= k) also ends the run, with the same meaning.  The run is
-    ``_cut_row`` on ints; over Q on L G, L the lcm of G's denominators (1
-    over GF(p)), so the pair for G is (R, L T).
+    ``_remainders`` on ints, stopped there; over Q on L G, L the lcm of G's
+    denominators (1 over GF(p)), so the pair for G is (R, L T).
     """
     G = hermite_interpolant(data)
     F = product_F(data)
@@ -223,8 +200,9 @@ def solve_eea(data: HermiteData) -> Classification:
         raise InternalInconsistency(
             f"interpolant degree {G.degree} reached n = {F.degree}"
         )
-    (F_int, _), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
-    R, T = _cut_row(F_int, G_int, data.k, data.field.p)
+    (F_int, dF), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
+    rows = _remainders(F_int, dF, G_int, L, data.field.p)
+    R, T = next((P, T) for P, _, T, _ in rows if len(P) <= data.k)
     pair = Poly(R, data.field), Poly([L * c for c in T], data.field)
     return _classify_minimal(data, MinimalSolution.from_pair(data, *pair))
 

@@ -10,15 +10,23 @@ reading witnesses with the solvers' node test.  Both emit a
 :class:`StratumReport`; agreement with the solver routes, and with the
 closed form of the first stratum on shape (2,1), is enforced by the test
 suite on every instance it touches.
+
+The display window Delta_{t,t} = (-1)^(n+t+1) prod_{i<j} (u_j - u_i)^(n_i
+n_j) psc_{t-1}(F, G) comes from one remainder sequence of (F, G), by
+psc_{n_i} = (-1)^tau_i sigma_i, sigma_i = sigma_{i-1} (rho_{i-1}
+rho_i)^(n_{i-1} - n_i) (Brown & Traub 1971; von zur Gathen & Gerhard,
+ch. 6); ``diagonal_window`` defines the terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency
 from .field import Scalar
 from .linalg import ExactMatrix, rank
+from .polynomial import _box, _ints, _remainders, hermite_interpolant, product_F
 from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix, witness_nodes
 from .solvers import chart_pair, diagonal_minor, find_defect
 
@@ -54,12 +62,32 @@ class StratumReport:
 def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
     """t -> Delta_{t,t} for t in [k-m, k+m+1] clipped to [1, n].
 
-    The vanishing run between the chart certificates is the algebraic face
-    of the defect.  Neither classifier needs the window; it is for display.
+    Delta_{t,t} = (-1)^(n+t+1) V psc_{t-1}(F, G), V = prod_{i<j} (u_j -
+    u_i)^(n_i n_j), F = ``product_F`` (monic, so G at formal degree n-1
+    needs no correction), G = ``hermite_interpolant``.  Let n_0 = n > n_1 >
+    ... be the degrees of the ``_remainders`` rows r_i = c_i P_i and rho_i =
+    c_i lc(P_i).  By the fundamental theorem of subresultants (Brown &
+    Traub 1971; von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6),
+    psc_{n_i} = (-1)^tau_i sigma_i with sigma_i = sigma_{i-1} (rho_{i-1}
+    rho_i)^(n_{i-1} - n_i), sigma_0 = rho_0 = 1, and tau_i = sum_{1<=j<i}
+    (n_{j-1} - n_i)(n_j - n_i); every other psc_j, j < n, is 0.  Neither
+    classifier reads the window.
     """
-    lo = max(1, data.k - data.m)
-    hi = min(data.n, data.k + data.m + 1)
-    return {t: diagonal_minor(data, t) for t in range(lo, hi + 1)}
+    field, n = data.field, data.n
+    lo, hi = max(1, data.k - data.m), min(n, data.k + data.m + 1)
+    (F, dF), (G, dG) = (_ints(field, f(data).coeffs) for f in (product_F, hermite_interpolant))
+    rows = _remainders(F, dF, G, dG, field.p)
+    (P0, _, _, c0), psc, degs, sigma = next(rows), {}, [n], field.one
+    for P, _, _, c in rows:
+        if len(P) < lo:  # zero, or below degree lo - 1: no psc the window reads
+            break
+        d, cc = len(P) - 1, c0 * c  # rho_{i-1} rho_i, without boxing the large c_i
+        sigma *= _box(field, cc.numerator * P0[-1] * P[-1], cc.denominator) ** (degs[-1] - d)
+        psc[d] = (-1) ** sum((a - d) * (b - d) for a, b in zip(degs, degs[1:])) * sigma  # tau_i
+        P0, c0, degs = P, c, degs + [d]
+    pairs = list(zip(data.u, data.n_vec))
+    V = math.prod((u - w) ** (m * l) for j, (u, m) in enumerate(pairs) for w, l in pairs[:j])
+    return {t: (-1) ** (n + t + 1) * V * psc.get(t - 1, field.zero) for t in range(lo, hi + 1)}
 
 
 def _chart_label(cert_low: Scalar, cert_up: Scalar) -> str:
@@ -123,8 +151,7 @@ def classify_by_rank(data: HermiteData) -> StratumReport:
                 witnesses.append(i - 1)
     else:
         witnesses = _denominator_root_nodes(data, main, main_rank)
-    zero = data.field.zero
-    cert_low = diagonal_minor(data, k - defect + 1) if k - defect + 1 >= 1 else zero
+    cert_low = diagonal_minor(data, k - defect + 1) if k >= defect else data.field.zero
     cert_up = diagonal_minor(data, k + defect)
     return StratumReport(
         defect=defect,

@@ -1,8 +1,9 @@
 """Elimination budgets: each route and classifier eliminates every distinct
 matrix it needs once.
 
-The counters wrap ``signed_minors`` and ``rank`` where ``solvers`` and
-``strata`` import them, so every call a route or classifier makes is seen.
+The counters wrap ``signed_minors``, ``rank`` and ``diagonal_minor`` where
+``solvers`` and ``strata`` import them, so every call a route or classifier
+makes is seen.
 """
 
 import random
@@ -19,6 +20,7 @@ from ratherm import (
     strata,
     stratum_equations,
 )
+from ratherm.strata import diagonal_window
 from ratherm.verify import random_data
 
 RAT = FieldConfig.rationals()
@@ -74,3 +76,23 @@ def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic)
         rep = classify_by_rank(d)
         assert (rep.defect > d.m + 1) == (d in zero_numerator)
         assert len(calls) == 1 + d.l
+
+
+def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
+    """The display window reads the remainder sequence, not determinants; the
+    rank classifier takes its two chart certificates, one when the lower
+    chart's index k-defect+1 falls below 1."""
+    calls = _count(monkeypatch, strata, "diagonal_minor")
+    draws = [
+        sample_stratum((3, 3, 2), 4, j, False, 40 + j, field)
+        for field in (RAT, FieldConfig.prime(1000003))
+        for j in range(1, 5)
+    ]
+    beyond = HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT)  # defect 3 > k
+    for d in generic + draws + [beyond]:
+        calls.clear()
+        diagonal_window(d)
+        assert calls == []
+        defect = classify_by_rank(d).defect
+        assert len(calls) == (2 if d.k - defect + 1 >= 1 else 1)
+    assert d is beyond and len(calls) == 1

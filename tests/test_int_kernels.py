@@ -3,10 +3,15 @@
 ``evaluate``, ``taylor_prefix``, ``whip_residual``, ``gcd`` and
 ``hermite_interpolant`` run on cleared-denominator ints and box their
 results; every value must equal the reference exactly, over Q with node and
-value denominators up to 10 and over GF(5), GF(7) and GF(1000003).
+value denominators up to 10 and over GF(5), GF(7) and GF(1000003).  The
+int remainder sequence ``_remainders`` is checked row by row against the
+``Fraction`` table of ``eea``, and the Euclidean route it ends against that
+table's cut row.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,13 +27,19 @@ from ratherm import (
     FieldConfig,
     HermiteData,
     Poly,
+    eea,
     evaluate,
     gcd,
     hermite_interpolant,
+    product_F,
+    solve_eea,
     taylor_prefix,
+    terminal_row,
     whip_residual,
 )
+from ratherm.polynomial import _ints, _remainders
 from ratherm.problem import RationalSolution, witness_nodes
+from ratherm.solvers import MinimalSolution, _classify_minimal
 
 RAT = FieldConfig.rationals()
 FIELDS = [RAT, FieldConfig.prime(5), FieldConfig.prime(7), FieldConfig.prime(1000003)]
@@ -111,7 +122,7 @@ def test_hermite_interpolant_matches_reference(data):
 @st.composite
 def gcd_inputs(draw):
     """Two polynomials over one field, sharing a drawn factor half the time."""
-    field = draw(st.sampled_from([RAT, FieldConfig.prime(7)]))
+    field = draw(st.sampled_from(FIELDS))
     p, q = draw(polys(field, 5)), draw(polys(field, 5))
     g = draw(st.one_of(st.just(Poly.one(field)), polys(field, 3)))
     return (p, q) if g.is_zero else (p * g, q * g)
@@ -135,3 +146,56 @@ def test_gcd_of_non_coprime_inputs():
         assert gcd(p, Poly.zero(field)) == p.monic()
     half = Poly((Fraction(1, 2), Fraction(-3, 7)), RAT)
     assert gcd(half * Poly((1, 1), RAT), half * Poly((2, 1), RAT)) == half.monic()
+
+
+GOLDEN = [
+    HermiteData.from_json_dict(doc)
+    for doc in json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["documents"]
+]
+
+
+def remainder_rows(data):
+    """(F, G) = (``product_F``, ``hermite_interpolant``) and the rows of
+    ``_remainders`` on their int forms, with G's denominator L."""
+    F, G = product_F(data), hermite_interpolant(data)
+    (F_int, dF), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
+    return F, G, L, list(_remainders(F_int, dF, G_int, L, data.field.p))
+
+
+def scaled(field, c, xs):
+    """c * xs as a Poly; c is 1 over GF(p)."""
+    if field.p is not None:
+        assert c == 1
+        return Poly(xs, field)
+    return Poly([c * x for x in xs], field)
+
+
+@settings(max_examples=150)
+@given(problems(max_nodes=3, max_mult=4))
+def test_remainder_rows_match_eea_table(data):
+    """r_i = c_i P_i and t_i = c_i L T_i on every row, the zero row included."""
+    F, G, L, rows = remainder_rows(data)
+    if G.is_zero:
+        assert [P for P, _, _, _ in rows] == [rows[0][0], []]
+        return
+    table = eea(F, G)
+    table.append(terminal_row(table))
+    assert len(rows) == len(table)
+    for (P, _, T, c), row in zip(rows, table):
+        assert scaled(data.field, c, P) == row.remainder
+        assert scaled(data.field, c * L, T) == row.bezout_t
+
+
+def test_eea_route_matches_eea_table_cut_on_golden_documents():
+    """``solve_eea`` gives the verdict and pair of the Fraction table's first
+    row of degree <= k-1 (the zero row when none is)."""
+    for data in GOLDEN:
+        F, G = product_F(data), hermite_interpolant(data)
+        if G.is_zero:
+            R, T = G, Poly.one(data.field)
+        else:
+            table = eea(F, G)
+            cut = next((row for row in table if row.remainder.degree < data.k), None)
+            cut = cut or terminal_row(table)
+            R, T = cut.remainder, cut.bezout_t
+        assert solve_eea(data) == _classify_minimal(data, MinimalSolution.from_pair(data, R, T))

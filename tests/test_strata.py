@@ -14,6 +14,8 @@ from ratherm import (
     Poly,
     ShapeMismatch,
     classify_by_rank,
+    diagonal_minor,
+    hermite_interpolant,
     rational_taylor,
     sample_stratum,
     solve_kernel,
@@ -101,6 +103,54 @@ def test_diagonal_window_bounds():
         d = random_data(rng, shape, k)
         lo, hi = max(1, d.k - d.m), min(d.n, d.k + d.m + 1)
         assert sorted(diagonal_window(d)) == list(range(lo, hi + 1))
+
+
+def window_matches_determinants(d):
+    """The window of d and, at the k that widens it to every t in 1..n, the
+    full window, against one determinant per diagonal minor."""
+    full = HermiteData(d.u, d.n_vec, d.v, (d.n + 1) // 2, d.field)
+    assert sorted(diagonal_window(full)) == list(range(1, d.n + 1))
+    for data in (d, full):
+        assert diagonal_window(data) == {t: diagonal_minor(data, t) for t in diagonal_window(data)}
+
+
+def zero_heavy(rng, field):
+    """1-3 distinct nodes (fractional over Q) of multiplicity 1-3, about
+    two thirds of the values zero, any k."""
+    l = rng.randint(1, 3)
+    if field.p is None:
+        u = list({Fraction(rng.randint(-9, 9), rng.randint(1, 10)) for _ in range(l)})
+    else:
+        u = rng.sample(range(field.p), l)
+    n_vec = [rng.randint(1, 3) for _ in u]
+    v = [[0 if rng.random() < 2 / 3 else rng.randint(-5, 5) for _ in range(ni)] for ni in n_vec]
+    return HermiteData(u, n_vec, v, rng.randint(1, sum(n_vec)), field)
+
+
+def test_window_matches_determinants_on_stratum_draws():
+    """Draws at every feasible defect, plain and forced: the vanishing runs
+    are the remainder sequences with degree gaps."""
+    for field in (RAT, FieldConfig.prime(7), FieldConfig.prime(1000003)):
+        for shape, k in [((2, 1), 2), ((5,), 3), ((3, 3), 3), ((2, 2, 1), 3), ((3, 3, 2), 4)]:
+            m = min(k - 1, sum(shape) - k)
+            for forced, top in ((False, m + 1), (True, m)):
+                for j in range(1, top + 1):
+                    window_matches_determinants(sample_stratum(shape, k, j, forced, 90 + j, field))
+
+
+def test_window_matches_determinants_on_zero_heavy_data():
+    rng = random.Random(97)
+    seen = {"G = 0": 0, "G != 0, deg G < n-1": 0, "defect > m+1": 0, "fractional node": 0}
+    for field in (RAT, FieldConfig.prime(5), FieldConfig.prime(7), FieldConfig.prime(1000003)):
+        for _ in range(60):
+            d = zero_heavy(rng, field)
+            window_matches_determinants(d)
+            G = hermite_interpolant(d)
+            seen["G = 0"] += G.is_zero
+            seen["G != 0, deg G < n-1"] += 0 <= G.degree < d.n - 1
+            seen["defect > m+1"] += classify_by_rank(d).defect > d.m + 1
+            seen["fractional node"] += any(ui.denominator > 1 for ui in d.u) if field.p is None else 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_classifiers_agree_on_random_data():
