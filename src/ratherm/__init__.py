@@ -50,7 +50,6 @@ from .polynomial import (
     product_F,
     rational_taylor,
     taylor_prefix,
-    terminal_row,
 )
 from .problem import (
     HermiteData,

@@ -38,7 +38,7 @@ from .errors import (
     TooLarge,
 )
 from .field import RATIONALS, FieldConfig, parse_json_int
-from .polynomial import Poly, eea, gcd, hermite_interpolant, product_F, terminal_row
+from .polynomial import Poly, _eea_table, gcd, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
 from .solvers import MinimalSolution, minor_vector, solve_eea, solve_kernel, solve_minors
 from .strata import classify_by_rank, diagonal_window, stratum_equations
@@ -267,12 +267,11 @@ def cmd_eea_trace(args, data: HermiteData) -> int:
         pretty.append("interpolant is zero; the solution is 0 / 1")
         _emit(args, out, pretty)
         return EXIT_OK
-    rows = list(eea(F, G))
-    cut = next((r for r in rows if r.remainder.degree <= data.k - 1), None)
-    virtual = cut is None
-    if virtual:
-        cut = terminal_row(rows)
-        rows.append(cut)
+    # the zero row is the cut (virtual) only when no stored row reaches k-1
+    table = _eea_table(F, G)
+    cut = next(r for r in table if r.remainder.degree <= data.k - 1)
+    virtual = cut is table[-1]
+    rows = table if virtual else table[:-1]
     g = gcd(cut.remainder, cut.bezout_t)
     row_objs = []
     for r in rows:

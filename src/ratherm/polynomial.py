@@ -9,10 +9,11 @@ Also here: gcd and the Extended Euclidean table with full row history (the
 remaindering), the node product polynomial, and Taylor coefficients of a
 rational function (power-series division, no symbolic quotient rule).
 
-``Poly`` arithmetic and the ``eea`` table run on field scalars.
-``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node),
-``hermite_interpolant``, ``product_F`` and ``_remainders`` (the remainder
-sequence of ``gcd``, ``solve_eea`` and ``diagonal_window``) run on
+``Poly`` arithmetic (``+``, ``-``, ``*``, ``**``, ``monic``; there is no
+polynomial division) runs on field scalars.  ``evaluate``,
+``taylor_prefix`` (a Taylor shift at an int node), ``hermite_interpolant``,
+``product_F`` and ``_remainders`` (the one remainder sequence, behind
+``gcd``, ``eea``, ``solve_eea`` and ``diagonal_window``) run on
 cleared-denominator ints from ``_ints`` and box only their results.
 """
 
@@ -157,34 +158,6 @@ class Poly:
             e >>= 1
         return result
 
-    def __divmod__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if self.degree < o.degree:
-            return Poly.zero(self.field), self
-        rem = list(self.coeffs)
-        d = len(o.coeffs) - 1
-        lead_inv = self.field.one / o.lead
-        quot = [self.field.zero] * (len(rem) - d)
-        for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if not c:
-                continue
-            q = c * lead_inv
-            quot[top - d] = q
-            for j in range(d + 1):
-                rem[top - d + j] = rem[top - d + j] - q * o.coeffs[j]
-        return Poly(quot, self.field), Poly(rem, self.field)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, x0) -> Scalar:
         return evaluate(self, x0)
 
@@ -271,13 +244,13 @@ def _shift(c: list, d: int, a: int, b: int, count: int, p) -> tuple[list[int], i
 
 
 def _pseudo_step(R0: list, R: list, p) -> tuple[int, list, list]:
-    """One Euclid step on ascending int coefficient lists, deg R0 >= deg R - 1
-    and R nonzero: over Q (p None) lc^e R0 = q R + r with lc = lead R and
-    e = deg R0 - deg R + 1 (pseudo-division, exact in ints); over GF(p) on
-    residues, lc^e = 1 and lc inverted.  Returns (lc^e, q, r), r trimmed
-    (and reduced over GF(p))."""
+    """One Euclid step on ascending int coefficient lists, R nonzero: over Q
+    (p None) lc^e R0 = q R + r with lc = lead R and e = len(q) =
+    max(deg R0 - deg R + 1, 0) (pseudo-division, exact in ints); over GF(p)
+    on residues, lc^e = 1 and lc inverted.  Returns (lc^e, q, r), r trimmed
+    (and reduced over GF(p)); deg R0 < deg R gives q = 0 and r = R0."""
     d, lc = len(R) - 1, R[-1]
-    s, inv = (lc ** (len(R0) - d), 1) if p is None else (1, pow(lc, -1, p))
+    s, inv = (lc ** max(len(R0) - d, 0), 1) if p is None else (1, pow(lc, -1, p))
     r, q = [s * c for c in R0], [0] * (len(R0) - d)
     for top in range(len(r) - 1, d - 1, -1):
         c = q[top - d] = r[top] // lc if p is None else r[top] * inv % p
@@ -294,8 +267,8 @@ def evaluate(p: Poly, x0) -> Scalar:
 
 
 def _remainders(R0: list, d0: int, R: list, d1: int, p):
-    """Euclid on (F, G) = (R0 / d0, R / d1), ascending int lists with
-    deg R0 >= deg R - 1 (d0 = d1 = 1 over GF(p)), as a primitive remainder
+    """Euclid on (F, G) = (R0 / d0, R / d1), ascending int lists with R
+    nonzero (d0 = d1 = 1 over GF(p)), as a primitive remainder
     sequence (Collins 1967; Brown & Traub 1971): rows (P_i, q_i, T_i, c_i)
     from (R0, [], [], 1/d0), (R, [], [1], 1/d1) to the first zero P_i.  Row
     i is a ``_pseudo_step`` lc^e P_{i-2} = q_i P_{i-1} + r with
@@ -327,6 +300,47 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return Poly([P for P, _, _, _ in _remainders(a, 1, b, 1, p.field.p) if P][-1], p.field).monic()
 
 
+def _eea_table(F: Poly, G: Poly) -> list[EEARow]:
+    """The rows of ``eea`` followed by the zero row, boxed from one
+    ``_remainders`` run.
+
+    With F = R0 / d_F, G = R / L and generator rows (P_i, q_i, T_i, c_i):
+    R_i = c_i P_i, T_i = c_i L T_i (int), and the quotient of rows i-1 and
+    i is c_{i-1} q_{i+1} / (lc(P_i)^e c_i), e = len(q_{i+1}), read off the
+    next step; the zero row keeps the quotient of the step that produced
+    it.  S_i = (R_i - T_i G) / F = c_i d_F (P_i - T_i R) / R0, one exact
+    ``_pseudo_step`` per row; a remainder there is a broken invariant.
+    Over GF(p) every scale is 1 and the residues are boxed as they are.
+    """
+    if F.is_zero or G.is_zero:
+        raise ZeroInput("eea needs two nonzero polynomials")
+    field, p = F.field, F.field.p
+    if G.field != field:
+        raise MixedFields(f"{field} vs {G.field}")
+    (R0, dF), (R, L) = _ints(field, F.coeffs), _ints(field, G.coeffs)
+
+    def box(k: Fraction, xs: list) -> Poly:
+        # Fraction * int reduces by gcd(x, den k) only, not by a full gcd
+        return Poly([k * x for x in xs] if p is None else xs, field)
+
+    seq, table, Q = list(_remainders(R0, dF, R, L, p)), [], Poly.zero(field)
+    for i, (P, _, T, c) in enumerate(seq):
+        if 0 < i < len(seq) - 1:
+            q = seq[i + 1][1]
+            Q = box(seq[i - 1][3] / (c * P[-1] ** len(q)), q)
+        N = P + [0] * (len(T) + len(R) - 1 - len(P))
+        for j, a in enumerate(T):
+            N[j : j + len(R)] = [x - a * y for x, y in zip(N[j : j + len(R)], R)]
+        N = N if p is None else [x % p for x in N]
+        while N and not N[-1]:
+            N.pop()
+        s, S, rem = _pseudo_step(N, R0, p)
+        if rem:
+            raise InternalInconsistency(f"F does not divide R_{i} - T_{i} G")
+        table.append(EEARow(i, Q, box(c, P), box(c * dF / s, S), box(c * L, T)))
+    return table
+
+
 def eea(F: Poly, G: Poly) -> list[EEARow]:
     """Extended Euclidean table for (F, G).
 
@@ -336,42 +350,7 @@ def eea(F: Poly, G: Poly) -> list[EEARow]:
     between rows hold literally; S_i F + T_i G = R_i on every row.  The run
     stops at the last nonzero remainder (the zero row is not stored).
     """
-    if F.is_zero or G.is_zero:
-        raise ZeroInput("eea needs two nonzero polynomials")
-    field = F.field
-    if G.field != field:
-        raise MixedFields(f"{field} vs {G.field}")
-    zero, one = Poly.zero(field), Poly.one(field)
-    rows = [EEARow(0, zero, F, one, zero)]
-    prev = (F, one, zero)
-    cur = (G, zero, one)
-    i = 1
-    while True:
-        q, r = divmod(prev[0], cur[0])
-        rows.append(EEARow(i, q, cur[0], cur[1], cur[2]))
-        if r.is_zero:
-            return rows
-        prev, cur = cur, (r, prev[1] - q * cur[1], prev[2] - q * cur[2])
-        i += 1
-
-
-def terminal_row(rows: list[EEARow]) -> EEARow:
-    """The zero-remainder row following the stored table.
-
-    Needed when no stored remainder meets a degree cut: its Bezout pair
-    still satisfies S F + T G = 0 exactly.
-    """
-    if len(rows) < 2:
-        raise InternalInconsistency("eea table has no division step")
-    a, b = rows[-2], rows[-1]
-    q = a.remainder // b.remainder
-    return EEARow(
-        b.index + 1,
-        q,
-        Poly.zero(b.remainder.field),
-        a.bezout_s - q * b.bezout_s,
-        a.bezout_t - q * b.bezout_t,
-    )
+    return _eea_table(F, G)[:-1]
 
 
 def hermite_interpolant(data: "HermiteData") -> Poly:

@@ -9,17 +9,27 @@ Vandermonde matrix.  ``defect_by_scan_ref`` is the descending scan of
 shrunken-matrix ranks the rank classifier once ran, kept to show that the
 one main rank gives the same defect.
 
-``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref``, ``gcd_ref``
-and ``hermite_interpolant_ref`` are plain loops on field scalars
-(``Fraction`` or ``PrimeFieldElement``), the references the int kernels of
-the package are compared against.
+``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref``,
+``divmod_ref``, ``gcd_ref``, ``eea_ref`` and ``hermite_interpolant_ref``
+are plain loops on field scalars (``Fraction`` or ``PrimeFieldElement``),
+the references the int kernels of the package are compared against.
+``divmod_ref`` is the one polynomial division of the tests: ``Poly`` has
+none, and ``gcd_ref`` and ``eea_ref`` run on it.
 """
 
 import math
 from dataclasses import replace
 
-from ratherm import HermiteData, Poly, build_matrix, classify_by_rank, paper_identity_catalog, rank
-from ratherm.errors import ShapeMismatch
+from ratherm import (
+    EEARow,
+    HermiteData,
+    Poly,
+    build_matrix,
+    classify_by_rank,
+    paper_identity_catalog,
+    rank,
+)
+from ratherm.errors import DivisionByZero, ShapeMismatch
 from ratherm.field import RATIONALS
 
 
@@ -141,12 +151,45 @@ def whip_residual_ref(data: HermiteData, sol) -> list:
     return out
 
 
+def divmod_ref(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with a = q b + r and deg r < deg b, by long division on the
+    coefficient lists; b must be nonzero."""
+    if b.is_zero:
+        raise DivisionByZero("polynomial division by zero")
+    d, rem = b.degree, list(a.coeffs)
+    quot = [a.field.zero] * max(len(rem) - d, 0)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = quot[top - d] = rem[top] / b.lead
+        for j, y in enumerate(b.coeffs):
+            rem[top - d + j] = rem[top - d + j] - c * y
+    return Poly(quot, a.field), Poly(rem, a.field)
+
+
 def gcd_ref(p: Poly, q: Poly) -> Poly:
     """Monic gcd by Euclid with field-scalar division."""
     a, b = p, q
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, divmod_ref(a, b)[1]
     return a.monic()
+
+
+def eea_ref(F: Poly, G: Poly) -> list:
+    """The extended Euclidean table of (F, G), F and G nonzero, by Euclid
+    with field-scalar division, the zero row included as the last row.
+
+    Row 0 is (0, 0, F, 1, 0); row i >= 1 carries the quotient of rows i-1
+    and i, and the zero row the quotient of the step that produced it.
+    """
+    zero, one = Poly.zero(F.field), Poly.one(F.field)
+    rows = [EEARow(0, zero, F, one, zero)]
+    prev, cur = (F, one, zero), (G, zero, one)
+    while True:
+        q, r = divmod_ref(prev[0], cur[0])
+        rows.append(EEARow(len(rows), q, *cur))
+        prev, cur = cur, (r, prev[1] - q * cur[1], prev[2] - q * cur[2])
+        if r.is_zero:
+            rows.append(EEARow(len(rows), q, *cur))
+            return rows
 
 
 def hermite_interpolant_ref(data: HermiteData) -> Poly:

@@ -1,11 +1,12 @@
 """Elimination budgets: each route and classifier eliminates every distinct
-matrix it needs once.
+matrix it needs once, and ``eea-trace`` runs one Euclid for its table.
 
 The counters wrap ``signed_minors``, ``rank`` and ``diagonal_minor`` where
-``solvers`` and ``strata`` import them, so every call a route or classifier
-makes is seen.
+``solvers`` and ``strata`` import them, and ``_remainders`` in
+``polynomial``, so every call a route, classifier or command makes is seen.
 """
 
+import json
 import random
 
 import pytest
@@ -13,13 +14,16 @@ import pytest
 from ratherm import (
     FieldConfig,
     HermiteData,
+    Poly,
     classify_by_rank,
+    polynomial,
     sample_stratum,
     solve_minors,
     solvers,
     strata,
     stratum_equations,
 )
+from ratherm.cli import main
 from ratherm.strata import diagonal_window
 from ratherm.verify import random_data
 
@@ -96,3 +100,18 @@ def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
         defect = classify_by_rank(d).defect
         assert len(calls) == (2 if d.k - defect + 1 >= 1 else 1)
     assert d is beyond and len(calls) == 1
+
+
+def test_eea_trace_runs_two_remainder_sequences(monkeypatch, generic, tmp_path, capsys):
+    """One ``_remainders`` run builds the table, zero row included, and one
+    is the gcd check of the cut row; ``Poly`` has no division left."""
+    calls = _count(monkeypatch, polynomial, "_remainders")
+    gf = random_data(random.Random(1), (4, 4, 4, 4), 8, FieldConfig.prime(1000003))
+    for d in generic + [gf]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(d.to_json_dict()))
+        calls.clear()
+        assert main(["eea-trace", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+    assert not any(hasattr(Poly, name) for name in ("__divmod__", "__floordiv__", "__mod__"))

@@ -13,6 +13,9 @@ feasible defect, plain and forced, over Q, GF(1000003) and GF(7), plus
 low-entropy, zero-heavy documents over Q, GF(5) and GF(7), half of them
 with defect above m+1 (the only way into the rank classifier's
 denominator-root branch).
+
+``EEA_TRACE_N16`` pins the ``eea-trace`` digests of one n = 16 instance
+over Q and GF(1000003); ``regenerate`` does not rewrite them.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ import pytest
 
 from ratherm import FieldConfig, HermiteData, sample_stratum, solve_kernel
 from ratherm.cli import main
+from ratherm.verify import random_data
 
 CORPUS = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -149,6 +153,24 @@ def test_golden_outputs(doc, monkeypatch):
         assert got == case["sha256"], (
             f"output changed for argv {case['argv']} on stdin document {text or '(none)'}"
         )
+
+
+# eea-trace on random_data(Random(1), (4,4,4,4), 8): n = 16, coefficient
+# heights the corpus (n <= 8) does not reach.
+EEA_TRACE_N16 = {
+    (None, "json"): "909f1a19a03002952a2b016e18aa60eaf1a86015ae2bc0c9cdd7d2b80b0b2f66",
+    (None, "pretty"): "785b557d358bf995a20c2aaaf25550bd180c3b1b1ac4d73637db3d5e0465880b",
+    (1000003, "json"): "e74a8fc330cdd61e67631566d81508b432dd79f9a41e810d0e50b2adc02379bb",
+    (1000003, "pretty"): "869d5c3bc97937fe451847261ad986522f8e1580f3d4031e887383c6dc2fd76c",
+}
+
+
+@pytest.mark.parametrize("p, fmt", list(EEA_TRACE_N16))
+def test_eea_trace_bytes_at_n16(p, fmt, monkeypatch):
+    monkeypatch.delenv("RATHERM_SEED", raising=False)
+    data = random_data(random.Random(1), (4, 4, 4, 4), 8, FieldConfig(p))
+    got = digest(*run_cli(["eea-trace", "--format", fmt], json.dumps(data.to_json_dict())))
+    assert got == EEA_TRACE_N16[p, fmt]
 
 
 def test_corpus_reaches_denominator_root_branch():

@@ -5,8 +5,9 @@
 results; every value must equal the reference exactly, over Q with node and
 value denominators up to 10 and over GF(5), GF(7) and GF(1000003).  The
 int remainder sequence ``_remainders`` is checked row by row against the
-``Fraction`` table of ``eea``, and the Euclidean route it ends against that
-table's cut row.
+field-scalar table ``eea_ref``, the Euclidean route it ends against that
+table's cut row, and ``eea``, boxed from ``_remainders``, against
+``eea_ref`` field by field.
 """
 
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    eea_ref,
     evaluate_ref,
     gcd_ref,
     hermite_interpolant_ref,
@@ -34,10 +36,9 @@ from ratherm import (
     product_F,
     solve_eea,
     taylor_prefix,
-    terminal_row,
     whip_residual,
 )
-from ratherm.polynomial import _ints, _remainders
+from ratherm.polynomial import _eea_table, _ints, _pseudo_step, _remainders
 from ratherm.problem import RationalSolution, witness_nodes
 from ratherm.solvers import MinimalSolution, _classify_minimal
 
@@ -178,8 +179,7 @@ def test_remainder_rows_match_eea_table(data):
     if G.is_zero:
         assert [P for P, _, _, _ in rows] == [rows[0][0], []]
         return
-    table = eea(F, G)
-    table.append(terminal_row(table))
+    table = eea_ref(F, G)
     assert len(rows) == len(table)
     for (P, _, T, c), row in zip(rows, table):
         assert scaled(data.field, c, P) == row.remainder
@@ -187,15 +187,82 @@ def test_remainder_rows_match_eea_table(data):
 
 
 def test_eea_route_matches_eea_table_cut_on_golden_documents():
-    """``solve_eea`` gives the verdict and pair of the Fraction table's first
-    row of degree <= k-1 (the zero row when none is)."""
+    """``solve_eea`` gives the verdict and pair of the field-scalar table's
+    first row of degree <= k-1 (the zero row when none is)."""
     for data in GOLDEN:
         F, G = product_F(data), hermite_interpolant(data)
         if G.is_zero:
             R, T = G, Poly.one(data.field)
         else:
-            table = eea(F, G)
-            cut = next((row for row in table if row.remainder.degree < data.k), None)
-            cut = cut or terminal_row(table)
+            cut = next(row for row in eea_ref(F, G) if row.remainder.degree < data.k)
             R, T = cut.remainder, cut.bezout_t
         assert solve_eea(data) == _classify_minimal(data, MinimalSolution.from_pair(data, R, T))
+
+
+def nonzero_polys(field, min_degree=0, max_degree=6):
+    """Zero-heavy coefficients under a drawn nonzero lead, so F is rarely
+    monic."""
+    if field.p is None:
+        lead = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 10))
+    else:
+        lead = st.integers(1, field.p - 1).map(field.from_int)
+    low = st.lists(scalars(field), min_size=min_degree, max_size=max_degree)
+    return st.builds(lambda cs, c: Poly(cs + [c], field), low, lead)
+
+
+@st.composite
+def eea_inputs(draw):
+    """(F, G), both nonzero, over one field: deg F above, equal to or below
+    deg G (below deg G - 1 included); half the time times a shared factor
+    of degree >= 1."""
+    field = draw(st.sampled_from(FIELDS))
+    F, G = draw(nonzero_polys(field)), draw(nonzero_polys(field))
+    if draw(st.booleans()):
+        H = draw(nonzero_polys(field, 1, 3))
+        F, G = F * H, G * H
+    return F, G
+
+
+def assert_table_matches_reference(F, G):
+    """Every field of every row, quotients included, the zero row too."""
+    want = eea_ref(F, G)
+    assert _eea_table(F, G) == want
+    assert eea(F, G) == want[:-1]
+
+
+@settings(max_examples=200)
+@given(eea_inputs())
+def test_eea_matches_reference(FG):
+    assert_table_matches_reference(*FG)
+
+
+@settings(max_examples=100)
+@given(problems(max_nodes=3, max_mult=4))
+def test_eea_matches_reference_on_node_polynomial_and_interpolant(data):
+    """(F, G) = (``product_F``, ``hermite_interpolant``), fractional nodes over Q."""
+    F, G = product_F(data), hermite_interpolant(data)
+    if not G.is_zero:
+        assert_table_matches_reference(F, G)
+
+
+def test_eea_matches_reference_on_degree_orders():
+    """deg F < deg G - 1, deg F = deg G - 1, deg F = deg G, a non-monic F
+    and a shared factor, over Q and GF(7)."""
+    for field in (RAT, FieldConfig.prime(7)):
+        x = Poly((0, 1), field)
+        H = Poly((field.from_int(2), field.from_int(-3)), field)  # -3x + 2
+        F = Poly((field.from_int(3), field.zero, field.from_int(5)), field)  # 5x^2 + 3
+        for G in (x**5 + 1, x**3 - x, 4 * x**2 + x, x + 2, x**4):
+            assert_table_matches_reference(F, G)
+            assert_table_matches_reference(G, F)
+            assert_table_matches_reference(F * H, G * H)
+    rows = eea(Poly((1, 2), RAT), Poly((1, 0, 0, 3), RAT))
+    assert rows[1].quotient.is_zero and rows[2].remainder == Poly((1, 2), RAT)
+
+
+def test_pseudo_step_below_the_divisor_degree():
+    """deg R0 < deg R - 1 clamps the exponent at 0: q = 0 and r = R0, ints."""
+    assert _pseudo_step([1, 2], [1, 0, 0, 3], None) == (1, [], [1, 2])
+    assert _pseudo_step([1, 2], [1, 0, 0, 3], 7) == (1, [], [1, 2])
+    assert _pseudo_step([], [1, 0, 0, 3], None) == (1, [], [])
+    assert _pseudo_step([5, 0, 2], [1, 0, 0, 3], None) == (1, [], [5, 0, 2])
