@@ -111,14 +111,17 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
 
     Each row is first put in lowest terms (a slice may not need all of its
     row's denominator); ``scale`` is the product of the denominators left.
-    Over Q, at each pivot d, a row below it becomes (d*x - f*y) / prev right
-    of the pivot column, with f its entry in that column, y the pivot row's
-    entry and prev the previous pivot; entries stay minors of the numerator
-    matrix, so the division is exact (Bareiss 1968).  Over GF(p) one inverse
-    scales the pivot row to 1, a row below with f != 0 becomes x - f*y, and
-    prev is the product of the pivots.  Columns with no nonzero entry at or
-    below the current row are skipped.  Pivot row i holds the i-th pivot
-    (1 over GF(p)) in column pivots[i], with stale entries left of it.
+    Over Q (Bareiss 1968, lazily scaled) row i is its Bareiss row, whose
+    entries are minors of the numerator matrix, times base[i] / prev: prev
+    the last pivot, base[i] the pivot of its last update (1 before any).  At
+    pivot d a row below with f != 0 in the pivot column becomes
+    (d*x - f*y) / base[i] right of it, exactly, y the pivot row's entry, and
+    base[i] becomes d; a row with f = 0 is scaled only on becoming the pivot
+    row.  Over GF(p) one inverse scales the pivot row to 1, a row below with
+    f != 0 becomes x - f*y, and prev is the product of the pivots.  Columns
+    with no nonzero entry at or below the current row are skipped.  Pivot
+    row i holds the i-th pivot (1 over GF(p)) in column pivots[i], with
+    stale entries left of it.
 
     Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
     columns, the numerator rows have determinant (-1)^parity * last_pivot,
@@ -128,6 +131,7 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
     gs = [math.gcd(den, *row) for row, den in zip(M.nums, M.dens)]
     rows = [[x // g for x in row] if g > 1 else row for row, g in zip(M.nums, gs)]
     scale = math.prod(den // g for den, g in zip(M.dens, gs))
+    base = [1] * M.r
     pivots: list[int] = []
     prev, parity = 1, False
     for col in range(M.c):
@@ -138,9 +142,11 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
         if piv is None:
             continue
         if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
+            rows[k], rows[piv], base[k], base[piv] = rows[piv], rows[k], base[piv], base[k]
             parity = not parity
         top, lo = rows[k], col + 1
+        if p is None and base[k] != prev:
+            top = rows[k] = top[:col] + [x * prev // base[k] for x in top[col:]]
         d = top[col]
         if p is not None:
             inv = pow(d, -1, p)
@@ -148,8 +154,9 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
         tail = top[lo:]
         for i in range(k + 1, M.r):
             row, f = rows[i], rows[i][col]
-            if p is None:
-                rows[i] = row[:lo] + [(d * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+            if f and p is None:
+                rows[i] = row[:lo] + [(d * x - f * y) // base[i] for x, y in zip(row[lo:], tail)]
+                base[i] = d
             elif f:
                 rows[i] = row[:lo] + [(x - f * y) % p for x, y in zip(row[lo:], tail)]
         pivots.append(col)
@@ -216,24 +223,23 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     return basis
 
 
-def signed_minors(M: ExactMatrix) -> tuple:
-    """Signed maximal minors of an r x (r+1) matrix, as an (r+1)-tuple.
-
-    Position i-1 holds (-1)^(i+1) det(M with 1-based column i deleted); the
-    alternation makes the vector a kernel member whenever rank(M) = r.  At
-    full rank there is one free column f, and deleting it leaves the pivot
-    columns, whose determinant the elimination already holds; so the vector
-    is the integer kernel vector of f times (-1)^(f + parity) / scale.  A
-    rank-deficient M returns the zero vector, since every maximal minor
-    vanishes then.
-    """
+def _minors_and_rank(M: ExactMatrix) -> tuple[tuple, int]:
+    """``signed_minors(M)`` and rank(M) off one elimination; at full rank the
+    vector is the kernel vector of the free column f, (-1)^(f+parity) / scale."""
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
     rows, pivots, last, parity, scale = _eliminate(M)
     field = M.field
     if len(pivots) < M.r:
-        return (field.zero,) * M.c
+        return (field.zero,) * M.c, len(pivots)
     f = next(c for c in range(M.c) if c not in pivots)
     factor = field.from_int(-1 if (f + parity) % 2 else 1) / field.from_int(scale)
     v = _kernel_vector(M, rows, pivots, last, f)
-    return tuple(field.from_int(x) * factor for x in v)
+    return tuple(field.from_int(x) * factor for x in v), M.r
+
+
+def signed_minors(M: ExactMatrix) -> tuple:
+    """Signed maximal minors of an r x (r+1) matrix, as an (r+1)-tuple:
+    position i-1 holds (-1)^(i+1) det(M with 1-based column i deleted), a
+    kernel vector at rank r and zero below it."""
+    return _minors_and_rank(M)[0]

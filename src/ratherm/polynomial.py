@@ -291,12 +291,13 @@ def _remainders(R0: list, d0: int, R: list, d1: int, p):
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p): the last nonzero
-    remainder of ``_remainders``, made monic."""
+    remainder of ``_remainders`` on the content-free int forms, made monic."""
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     if q.field != p.field:
         raise MixedFields(f"{p.field} vs {q.field}")
-    a, b = sorted((_ints(p.field, P.coeffs)[0] for P in (p, q)), key=len, reverse=True)
+    ints = (_ints(p.field, P.coeffs)[0] for P in (p, q))
+    a, b = sorted(([x // math.gcd(*P) for x in P] for P in ints), key=len, reverse=True)
     return Poly([P for P, _, _, _ in _remainders(a, 1, b, 1, p.field.p) if P][-1], p.field).monic()
 
 

@@ -186,7 +186,9 @@ def master_matrix(data: HermiteData) -> ExactMatrix:
             # C(l, j) is zero for j > l, whatever power stands beside it
             left = [[math.comb(l, j) * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
             for j, row in enumerate(left):
-                conv = [-sum(left[t][l] * w[j - t] for t in range(j + 1)) for l in cols]
+                conv = [0] * (n + 1)
+                for t in (t for t in range(j + 1) if w[j - t]):
+                    conv = [x - w[j - t] * y for x, y in zip(conv, left[t])]
                 scaled = [x * D for x in row] + conv
                 g = math.gcd(b**n * D, *scaled)  # 1 over GF(p)
                 nums.append([x // g if p is None else x % p for x in scaled])

@@ -20,7 +20,8 @@ node test of ``_classify_minimal``:
   interpolant), stopped at the first remainder of degree <= k-1; that
   remainder and its Bezout cofactor are the minimal pair.
 - ``solve_minors``: closed-form minimal pairs sliced out of signed-minor
-  vectors, chart-selected by nonvanishing square minors on the diagonal.
+  vectors, chart-selected by nonvanishing square minors on the diagonal
+  from the main matrix's nullity up (below it every one vanishes).
 
 Minor indexing: ``minor_vector(data, t)`` is the tuple of signed maximal
 minors Delta_{t,i} of the n x (n+1) matrix with degree bounds (t-1, n-t),
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import determinant, kernel_basis, signed_minors
+from .linalg import _minors_and_rank, determinant, kernel_basis, signed_minors
 from .polynomial import Poly, _ints, _remainders, evaluate, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
@@ -212,15 +213,18 @@ def find_defect(data: HermiteData):
 
     Returns (j, cert_low, cert_up, mv) with cert_low = Delta_{k-j+1,k-j+1},
     cert_up = Delta_{k+j,k+j}, and mv the signed-minor vector the chart
-    slice reads: t = k-j+1 when cert_low is nonzero, else t = k+j-1.  The
-    ascending scan makes the interior vanishing conditions for the returned
-    j automatic: they are exactly the certificates of the rejected smaller j.
+    slice reads: t = k-j+1 when cert_low is nonzero, else t = k+j-1.
+
+    The scan starts at the nullity N = (n+1) - r of the main (t = k) matrix,
+    r read off the elimination of its vector: for j < N, zeroing the top j
+    coefficients of A (of B) leaves N - j >= 1 kernel dimensions on the
+    columns of Delta_{k-j+1,k-j+1} (Delta_{k+j,k+j}), so both vanish.
 
     cert_low is the diagonal entry of the t = k-j+1 vector.  Deleting the
     last column of the t = k+j-1 matrix leaves the matrix of
     Delta_{k+j,k+j}, so cert_up is (-1)^(k+j+n) times that vector's last
-    entry.  At j = 1 both come from the one vector at t = k.  Handing mv on
-    to ``chart_pair`` means no matrix of the route is eliminated twice.
+    entry.  At j = 1 both come from the main vector.  Handing mv on to
+    ``chart_pair`` means no matrix of the route is eliminated twice.
 
     Both charts are consulted for j <= m+1, the regime where both components
     of the minimal pair are nonzero.  Data that forces a zero minimal
@@ -230,8 +234,10 @@ def find_defect(data: HermiteData):
     vanishes.
     """
     k, n = data.k, data.n
-    for j in range(1, n - k + 2):
-        up = minor_vector(data, k + j - 1)
+    main, r = _minors_and_rank(build_matrix(data, k - 1, n - k))
+    main = tuple(-x for x in main) if k % 2 == 0 else main  # minor_vector's sign
+    for j in range(n + 1 - r, n - k + 2):
+        up = main if j == 1 else minor_vector(data, k + j - 1)
         cert_up = -up[n] if (k + j + n) % 2 else up[n]
         low, cert_low = up, data.field.zero
         if j <= data.m + 1:

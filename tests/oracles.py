@@ -7,7 +7,11 @@ but wrong transcriptions of catalog identities, for showing that
 is the substitution under which the main matrix becomes a confluent
 Vandermonde matrix.  ``defect_by_scan_ref`` is the descending scan of
 shrunken-matrix ranks the rank classifier once ran, kept to show that the
-one main rank gives the same defect.
+one main rank gives the same defect; ``find_defect_ref`` is the ascending
+chart scan ``find_defect`` ran from j = 1, kept to show that starting at the
+main matrix's nullity returns the same four values.  ``eliminate_ref`` is
+the eager Bareiss loop (every row below the pivot updated and divided by the
+previous pivot), the reference for the lazily scaled ``_eliminate``.
 
 ``evaluate_ref``, ``taylor_prefix_ref``, ``whip_residual_ref``,
 ``divmod_ref``, ``gcd_ref``, ``eea_ref`` and ``hermite_interpolant_ref``
@@ -22,14 +26,16 @@ from dataclasses import replace
 
 from ratherm import (
     EEARow,
+    ExactMatrix,
     HermiteData,
     Poly,
     build_matrix,
     classify_by_rank,
+    minor_vector,
     paper_identity_catalog,
     rank,
 )
-from ratherm.errors import DivisionByZero, ShapeMismatch
+from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch
 from ratherm.field import RATIONALS
 
 
@@ -64,6 +70,62 @@ def defect_by_scan_ref(data: HermiteData) -> int:
     if j < m:
         return j + 1
     return max(m + 1, (n + 1) - rank(build_matrix(data, k - 1, n - k)))
+
+
+def find_defect_ref(data: HermiteData):
+    """``find_defect`` by the ascending scan j = 1, 2, ...: the first j with
+    a nonzero chart certificate, as (j, cert_low, cert_up, mv).  Each j
+    takes the vectors of t = k+j-1 and, for 1 < j <= m+1, t = k-j+1, so
+    defect d costs 2d-1 of them."""
+    k, n = data.k, data.n
+    for j in range(1, n - k + 2):
+        up = minor_vector(data, k + j - 1)
+        cert_up = -up[n] if (k + j + n) % 2 else up[n]
+        low, cert_low = up, data.field.zero
+        if j <= data.m + 1:
+            low = up if j == 1 else minor_vector(data, k - j + 1)
+            cert_low = low[k - j]
+        if cert_low or cert_up:
+            return j, cert_low, cert_up, low if cert_low else up
+    raise InternalInconsistency(f"no nonzero chart certificate at any defect on {data!r}")
+
+
+def eliminate_ref(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
+    """The eager forward elimination, with ``_eliminate``'s contract: over Q
+    every row below the pivot d becomes (d*x - f*y) / prev right of the
+    pivot column, prev the previous pivot (Bareiss 1968); over GF(p) the
+    pivot row is scaled to 1 and rows with f != 0 become x - f*y."""
+    p = M.field.p
+    gs = [math.gcd(den, *row) for row, den in zip(M.nums, M.dens)]
+    rows = [[x // g for x in row] if g > 1 else row for row, g in zip(M.nums, gs)]
+    scale = math.prod(den // g for den, g in zip(M.dens, gs))
+    pivots: list[int] = []
+    prev, parity = 1, False
+    for col in range(M.c):
+        k = len(pivots)
+        if k == M.r:
+            break
+        piv = next((i for i in range(k, M.r) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            parity = not parity
+        top, lo = rows[k], col + 1
+        d = top[col]
+        if p is not None:
+            inv = pow(d, -1, p)
+            top = rows[k] = top[:col] + [1] + [y * inv % p for y in top[lo:]]
+        tail = top[lo:]
+        for i in range(k + 1, M.r):
+            row, f = rows[i], rows[i][col]
+            if p is None:
+                rows[i] = row[:lo] + [(d * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+            elif f:
+                rows[i] = row[:lo] + [(x - f * y) % p for x, y in zip(row[lo:], tail)]
+        pivots.append(col)
+        prev = d if p is None else prev * d % p
+    return rows, pivots, prev, parity, scale
 
 
 def disputed_variants():

@@ -1,9 +1,12 @@
 """Elimination budgets: each route and classifier eliminates every distinct
-matrix it needs once, and ``eea-trace`` runs one Euclid for its table.
+matrix it needs once, ``find_defect`` at most three, and ``eea-trace`` runs
+one Euclid for its table.
 
-The counters wrap ``signed_minors``, ``rank`` and ``diagonal_minor`` where
-``solvers`` and ``strata`` import them, and ``_remainders`` in
-``polynomial``, so every call a route, classifier or command makes is seen.
+The counters wrap ``rank`` and ``diagonal_minor`` where ``strata`` imports
+them, ``_remainders`` in ``polynomial``, and ``_minors_and_rank`` both in
+``linalg``, behind ``signed_minors``, and where ``solvers`` imports it for
+``find_defect``'s read of the main matrix, so every call a route,
+classifier or command makes is seen.
 """
 
 import json
@@ -16,6 +19,7 @@ from ratherm import (
     HermiteData,
     Poly,
     classify_by_rank,
+    linalg,
     polynomial,
     sample_stratum,
     solve_minors,
@@ -24,8 +28,11 @@ from ratherm import (
     stratum_equations,
 )
 from ratherm.cli import main
+from ratherm.solvers import find_defect
 from ratherm.strata import diagonal_window
 from ratherm.verify import random_data
+
+from oracles import find_defect_ref
 
 RAT = FieldConfig.rationals()
 
@@ -42,6 +49,12 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _count_minor_vectors(monkeypatch):
+    calls = _count(monkeypatch, linalg, "_minors_and_rank")
+    monkeypatch.setattr(solvers, "_minors_and_rank", linalg._minors_and_rank)
+    return calls
+
+
 @pytest.fixture
 def generic():
     """Generic (4,4,4,4), k = 8 data over Q: defect 1."""
@@ -49,7 +62,7 @@ def generic():
 
 
 def test_minors_route_and_stratum_equations_eliminate_one_vector(monkeypatch, generic):
-    calls = _count(monkeypatch, solvers, "signed_minors")
+    calls = _count_minor_vectors(monkeypatch)
     for d in generic:
         calls.clear()
         minsol, _ = solve_minors(d)
@@ -58,6 +71,35 @@ def test_minors_route_and_stratum_equations_eliminate_one_vector(monkeypatch, ge
         calls.clear()
         stratum_equations(d)
         assert len(calls) == 1
+
+
+def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
+    """The main matrix gives the nullity N, where the scan starts: one
+    elimination at defect 1, and the charts of N above it, two up to m+1
+    and the upper one alone beyond.  The ascending scan it replaced took
+    2N-1 up to m+1; the defect-4 draw pins both counts."""
+    calls = _count_minor_vectors(monkeypatch)
+    draws = [
+        sample_stratum(shape, k, j, forced, 60 + j, field)
+        for field in (RAT, FieldConfig.prime(1000003))
+        for shape, k, m in (((3, 3, 2), 4, 3), ((4, 4, 4), 6, 5))
+        for forced, top in ((False, m + 1), (True, m))
+        for j in range(1, top + 1)
+    ]
+    zero_numerator = [
+        HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT),
+        HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT),
+    ]
+    for d in generic + draws + zero_numerator:
+        calls.clear()
+        j = find_defect(d)[0]
+        assert len(calls) == (1 if j == 1 else 3 if j <= d.m + 1 else 2)
+    assert {find_defect(d)[0] for d in draws} == set(range(1, 7))
+    pinned = sample_stratum((4, 4, 4), 6, 4, False, 1, RAT)
+    calls.clear()
+    assert find_defect(pinned)[0] == 4 and len(calls) == 3
+    calls.clear()
+    assert find_defect_ref(pinned)[0] == 4 and len(calls) == 7
 
 
 def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic):

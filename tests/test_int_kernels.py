@@ -11,6 +11,7 @@ table's cut row, and ``eea``, boxed from ``_remainders``, against
 """
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from ratherm import (
     HermiteData,
     Poly,
     eea,
+    polynomial,
     evaluate,
     gcd,
     hermite_interpolant,
@@ -136,6 +138,33 @@ def test_gcd_matches_reference(pq):
     if p.is_zero and q.is_zero:
         return
     assert gcd(p, q) == gcd_ref(p, q) == gcd(q, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(RAT, 5), polys(RAT, 5), polys(RAT, 3), st.integers(2**200, 2**260), st.integers(1, 2**40))
+def test_gcd_divides_out_a_large_shared_content(p, q, g, content, extra):
+    """Over Q, inputs sharing a large integer content (p carrying one more
+    factor) and half the time a common factor g give ``gcd_ref``'s answer,
+    and ``_remainders`` sees only content-free int rows."""
+    if g.is_zero:
+        g = Poly.one(RAT)
+    p, q = p * g * Poly((content * extra,), RAT), q * g * Poly((content,), RAT)
+    if p.is_zero and q.is_zero:
+        return
+    seen = []
+    inner = polynomial._remainders
+
+    def spy(R0, d0, R, d1, prime):
+        seen.append((R0, R))
+        return inner(R0, d0, R, d1, prime)
+
+    polynomial._remainders = spy
+    try:
+        got = gcd(p, q)
+    finally:
+        polynomial._remainders = inner
+    assert got == gcd_ref(p, q)
+    assert seen and all(math.gcd(*P) == 1 for pair in seen for P in pair if P)
 
 
 def test_gcd_of_non_coprime_inputs():

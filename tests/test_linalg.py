@@ -18,9 +18,11 @@ from ratherm import (
     rank,
     signed_minors,
 )
-from ratherm.linalg import _kernel_vector
+from ratherm.linalg import _eliminate, _kernel_vector
 from ratherm.problem import build_matrix, build_submatrix_i
 from ratherm.verify import random_data
+
+from oracles import eliminate_ref
 
 RAT = FieldConfig.rationals()
 GF7 = FieldConfig.prime(7)
@@ -198,6 +200,48 @@ def test_kernel_basis_properties(r, c, seed, kind, dep):
     if basis:
         stacked = ExactMatrix([list(v) for v in basis], field)
         assert rank(stacked) == len(basis)
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """Int rows, mostly zero, of any shape up to 6x7, about a quarter of them
+    combinations of earlier rows; over Q each row draws a denominator and
+    entries are mostly non-units, so a wrong Bareiss divisor shows; over
+    GF(p) rows are residues.  ``sampled_from`` keeps the shapes spread."""
+    field = draw(st.sampled_from((RAT, GF7, FieldConfig.prime(1000003))))
+    p = field.p
+    r, c = draw(st.sampled_from(range(7))), draw(st.sampled_from(range(8)))
+    if p is None:
+        entry = st.sampled_from((0, 0, 0, 2, -3, 5, 6, -10, 35, 1))
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
+    nums = []
+    for _ in range(r):
+        if nums and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(nums)), draw(st.sampled_from(nums))
+            s, t = draw(entry), draw(entry)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(entry, min_size=c, max_size=c))
+        nums.append(row if p is None else [x % p for x in row])
+    dens = [1 if p else draw(st.sampled_from((1, 2, 6, 35))) for _ in range(r)]
+    return ExactMatrix.from_ints(nums, dens, c, field)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(zero_heavy_matrices())
+# rows 1 and 2 skip the first pivot; row 1 is scaled to it as the second
+# pivot row, and row 2 is updated there and becomes the third
+@example(M([[2, 1, 1, 1], [0, 3, 1, 1], [0, 5, 7, 1]]))
+def test_eliminate_matches_eager_reference(m):
+    """The lazily scaled elimination returns what the eager Bareiss loop
+    does: pivots, last pivot, parity, scale and each pivot row from its
+    pivot column on."""
+    rows, pivots, last, parity, scale = _eliminate(m)
+    ref_rows, *ref = eliminate_ref(m)
+    assert [pivots, last, parity, scale] == ref
+    for i, col in enumerate(pivots):
+        assert rows[i][col:] == ref_rows[i][col:]
 
 
 def test_back_substitution_rejects_inexact_division():

@@ -41,7 +41,7 @@ from ratherm.linalg import determinant
 from ratherm.problem import witness_nodes
 from ratherm.solvers import _classify_minimal, chart_pair, find_defect
 
-from oracles import divmod_ref, eea_ref
+from oracles import divmod_ref, eea_ref, find_defect_ref
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -286,6 +286,25 @@ def test_find_defect_certificates_are_diagonal_minors():
         assert (cert_low, cert_up) == (lower, diagonal_minor(d, d.k + j))
         beyond += j > d.m + 1
     assert beyond == 3 * len(DEGENERATE)
+
+
+def test_certificates_vanish_below_the_main_nullity():
+    """The lemma ``find_defect`` starts from: with N = (n+1) - rank(main),
+    Delta_{k-j+1,k-j+1} (for j <= m+1) and Delta_{k+j,k+j} vanish for every
+    j < N.  The scan from N returns what the ascending scan from 1 does."""
+    checked, beyond = 0, 0
+    instances = _sign_law_instances() + [d for d, _ in _upper_only_instances()]
+    for d in instances:
+        k, n = d.k, d.n
+        nullity = (n + 1) - rank(build_matrix(d, k - 1, n - k))
+        for j in range(1, nullity):
+            if j <= d.m + 1:
+                assert not diagonal_minor(d, k - j + 1)
+            assert not diagonal_minor(d, k + j)
+            checked += 1
+            beyond += j > d.m + 1
+        assert find_defect(d) == find_defect_ref(d)
+    assert checked >= 70 and beyond >= 3
 
 
 def _upper_only_instances():
