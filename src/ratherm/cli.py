@@ -339,7 +339,8 @@ def cmd_sample(args) -> int:
         "target_defect": args.defect,
         "force_unattainable": args.force_unattainable,
     }
-    pretty = [json.dumps(out, indent=2)]
+    # the pretty form of a sampled document is its JSON
+    pretty = [json.dumps(out, indent=2)] if args.format == "pretty" else []
     _emit(args, out, pretty)
     return EXIT_OK
 

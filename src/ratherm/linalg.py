@@ -106,8 +106,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows_list()!r})"
 
 
-def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
-    """One forward elimination over the int rows of M.
+def _eliminate(
+    M: ExactMatrix, stop: Optional[int] = None
+) -> tuple[list[list[int]], list[int], int, bool, int]:
+    """One forward elimination over the int rows of M, on its columns below
+    ``stop`` (all of them by default).
 
     Each row is first put in lowest terms (a slice may not need all of its
     row's denominator); ``scale`` is the product of the denominators left.
@@ -121,7 +124,9 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
     f != 0 becomes x - f*y, and prev is the product of the pivots.  Columns
     with no nonzero entry at or below the current row are skipped.  Pivot
     row i holds the i-th pivot (1 over GF(p)) in column pivots[i], with
-    stale entries left of it.
+    stale entries left of it.  A row below the last pivot is, from column
+    ``stop`` on, a nonzero multiple of its row of the Schur complement of
+    the pivot block.
 
     Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
     columns, the numerator rows have determinant (-1)^parity * last_pivot,
@@ -134,7 +139,7 @@ def _eliminate(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, i
     base = [1] * M.r
     pivots: list[int] = []
     prev, parity = 1, False
-    for col in range(M.c):
+    for col in range(M.c if stop is None else stop):
         k = len(pivots)
         if k == M.r:
             break

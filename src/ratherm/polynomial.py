@@ -266,27 +266,35 @@ def evaluate(p: Poly, x0) -> Scalar:
     return taylor_prefix(p, x0, 1)[0]
 
 
-def _remainders(R0: list, d0: int, R: list, d1: int, p):
-    """Euclid on (F, G) = (R0 / d0, R / d1), ascending int lists with R
-    nonzero (d0 = d1 = 1 over GF(p)), as a primitive remainder
-    sequence (Collins 1967; Brown & Traub 1971): rows (P_i, q_i, T_i, c_i)
-    from (R0, [], [], 1/d0), (R, [], [1], 1/d1) to the first zero P_i.  Row
-    i is a ``_pseudo_step`` lc^e P_{i-2} = q_i P_{i-1} + r with
-    T = lc^e T_{i-2} - q_i T_{i-1}, (r, T) divided by its joint content g
-    over Q, reduced over GF(p) (lc^e = g = 1).  T_i is P_i's Bezout cofactor
-    of R, and r_i = c_i P_i, c_i = c_{i-2} g / lc^e, is (F, G)'s remainder.
+def _remainders(R0: list, R: list, p, cofactors: bool):
+    """Euclid on ascending int lists R0, R with R nonzero, as a primitive
+    remainder sequence (Collins 1967; Brown & Traub 1971): rows
+    (P_i, q_i, T_i, s_i, g_i) from (R0, [], [], 1, 1), (R, [], [1], 1, 1)
+    to the first zero P_i.  Row i is a ``_pseudo_step``
+    s_i P_{i-2} = q_i P_{i-1} + r, s_i = lc^e, with r divided by its content
+    g_i over Q (reduced over GF(p), s_i = g_i = 1).  With ``cofactors``,
+    T_i = s_i T_{i-2} - q_i T_{i-1}, P_i's Bezout cofactor of R, and g_i is
+    the joint content of (r, T); without, T_i is None.  For (F, G) =
+    (R0 / d0, R / d1) the remainder is r_i = c_i P_i with c_0 = 1/d0,
+    c_1 = 1/d1 and c_i = c_{i-2} g_i / s_i, which the callers that read it
+    fold themselves.
     """
-    T0, T, c0, c = [], [1], Fraction(1, d0), Fraction(1, d1)
-    yield from ((R0, [], T0, c0), (R, [], T, c))
+    T0, T = ([], [1]) if cofactors else (None, None)
+    yield from ((R0, [], T0, 1, 1), (R, [], T, 1, 1))
     while R:
         s, q, r = _pseudo_step(R0, R, p)
-        t = [s * x for x in T0] + [0] * (len(q) + len(T) - 1 - len(T0))
-        for i, a in enumerate(q):
-            t[i : i + len(T)] = [x - a * y for x, y in zip(t[i : i + len(T)], T)]
-        g = math.gcd(*r, *t) if p is None else 1
-        r, t = [x // g for x in r], [x // g if p is None else x % p for x in t]
-        (R0, T0, c0), (R, T, c) = (R, T, c), (r, t, c0 * Fraction(g, s))
-        yield R, q, T, c
+        t = None
+        if cofactors:
+            t = [s * x for x in T0] + [0] * (len(q) + len(T) - 1 - len(T0))
+            for i, a in enumerate(q):
+                t[i : i + len(T)] = [x - a * y for x, y in zip(t[i : i + len(T)], T)]
+        # without T the zero remainder has content 0
+        g = (math.gcd(*r, *(t or ())) or 1) if p is None else 1
+        r = [x // g for x in r]
+        if t is not None:
+            t = [x // g if p is None else x % p for x in t]
+        (R0, T0), (R, T) = (R, T), (r, t)
+        yield R, q, T, s, g
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
@@ -298,17 +306,18 @@ def gcd(p: Poly, q: Poly) -> Poly:
         raise MixedFields(f"{p.field} vs {q.field}")
     ints = (_ints(p.field, P.coeffs)[0] for P in (p, q))
     a, b = sorted(([x // math.gcd(*P) for x in P] for P in ints), key=len, reverse=True)
-    return Poly([P for P, _, _, _ in _remainders(a, 1, b, 1, p.field.p) if P][-1], p.field).monic()
+    return Poly([P for P, *_ in _remainders(a, b, p.field.p, False) if P][-1], p.field).monic()
 
 
 def _eea_table(F: Poly, G: Poly) -> list[EEARow]:
     """The rows of ``eea`` followed by the zero row, boxed from one
     ``_remainders`` run.
 
-    With F = R0 / d_F, G = R / L and generator rows (P_i, q_i, T_i, c_i):
-    R_i = c_i P_i, T_i = c_i L T_i (int), and the quotient of rows i-1 and
-    i is c_{i-1} q_{i+1} / (lc(P_i)^e c_i), e = len(q_{i+1}), read off the
-    next step; the zero row keeps the quotient of the step that produced
+    With F = R0 / d_F, G = R / L, generator rows (P_i, q_i, T_i, s_i, g_i)
+    and c_i folded as ``_remainders`` defines it: R_i = c_i P_i,
+    T_i = c_i L T_i (int), and the quotient of rows i-1 and i is
+    c_{i-1} q_{i+1} / (lc(P_i)^e c_i), e = len(q_{i+1}), read off the next
+    step; the zero row keeps the quotient of the step that produced
     it.  S_i = (R_i - T_i G) / F = c_i d_F (P_i - T_i R) / R0, one exact
     ``_pseudo_step`` per row; a remainder there is a broken invariant.
     Over GF(p) every scale is 1 and the residues are boxed as they are.
@@ -324,11 +333,14 @@ def _eea_table(F: Poly, G: Poly) -> list[EEARow]:
         # Fraction * int reduces by gcd(x, den k) only, not by a full gcd
         return Poly([k * x for x in xs] if p is None else xs, field)
 
-    seq, table, Q = list(_remainders(R0, dF, R, L, p)), [], Poly.zero(field)
-    for i, (P, _, T, c) in enumerate(seq):
+    seq, table, Q = list(_remainders(R0, R, p, True)), [], Poly.zero(field)
+    cs = [Fraction(1, dF), Fraction(1, L)]
+    for _, _, _, s, g in seq[2:]:
+        cs.append(cs[-2] * Fraction(g, s))
+    for i, ((P, _, T, _, _), c) in enumerate(zip(seq, cs)):
         if 0 < i < len(seq) - 1:
             q = seq[i + 1][1]
-            Q = box(seq[i - 1][3] / (c * P[-1] ** len(q)), q)
+            Q = box(cs[i - 1] / (c * P[-1] ** len(q)), q)
         N = P + [0] * (len(T) + len(R) - 1 - len(P))
         for j, a in enumerate(T):
             N[j : j + len(R)] = [x - a * y for x, y in zip(N[j : j + len(R)], R)]

@@ -13,9 +13,9 @@ data sits in the odd-codimension stratum indexed by its defect.
 Routes, each finding the minimal pair its own way and then applying the
 node test of ``_classify_minimal``:
 
-- ``solve_kernel``: the kernel dimension of the structured matrix gives the
-  defect, and the one-dimensional kernel of the matrix shrunk by the defect
-  is the pair.
+- ``solve_kernel``: one elimination of the main matrix gives the defect,
+  its number of free columns, and the pair, the kernel vector of its first
+  free column.
 - ``solve_eea``: extended Euclidean run on (node polynomial, confluent
   interpolant), stopped at the first remainder of degree <= k-1; that
   remainder and its Bezout cofactor are the minimal pair.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import _minors_and_rank, determinant, kernel_basis, signed_minors
+from .linalg import _eliminate, _kernel_vector, _minors_and_rank, determinant, signed_minors
 from .polynomial import Poly, _ints, _remainders, evaluate, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
@@ -152,29 +152,30 @@ def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classificat
 
 
 def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
-    """Null-space route.
+    """Null-space route, on one elimination of the main matrix.
 
-    The defect d is the kernel dimension of the main matrix, read off its
-    kernel basis.  It fixes the degree bounds of the minimal pair,
-    deg A0 <= k-d and deg B0 <= n-k-d+1, so the kernel of the matrix shrunk
-    to those bounds is the line through (A0, B0).  At d = 1 that is the main
-    matrix itself, and its one basis vector is the pair; only d > 1
-    eliminates the shrunken matrix.  When d > k+1 the numerator bound drops
-    below zero, A0 = 0, and the A block of the shrunken matrix is empty.
+    The kernel of the main (k-1, n-k) matrix is C(x) (A0, B0) over
+    deg C < d, d the defect, and B0 is never zero.  With the columns in
+    natural order (A's coefficients, then B's) the last nonzero coordinate
+    of C (A0, B0) is B's coefficient of degree deg C + deg B0, so the free
+    columns are exactly the right columns deg B0 .. deg B0 + d-1.  The
+    kernel vector of the first of them, zero at the others, has deg C = 0:
+    it is the pair, at every defect.  When d > k, A0 = 0.
     """
     k, n = data.k, data.n
-    basis = kernel_basis(build_matrix(data, k - 1, n - k))
-    d = len(basis)
-    alpha = max(k - d, -1)
-    if d != 1:
-        basis = kernel_basis(build_matrix(data, alpha, n - k - d + 1))
-    if len(basis) != 1:
+    M = build_matrix(data, k - 1, n - k)
+    rows, pivots, last, _, _ = _eliminate(M)
+    taken = set(pivots)
+    free = [c for c in range(M.c) if c not in taken]
+    d, f = len(free), free[0]
+    if f < k or free != list(range(f, f + d)):
         raise InternalInconsistency(
-            f"shrunken kernel at defect {d} has {len(basis)} vectors on {data!r}"
+            f"free columns {free} of the main matrix are not a run of right "
+            f"columns on {data!r}"
         )
-    vec = basis[0]
+    vec = _kernel_vector(M, rows, pivots, last, f)
     minsol = MinimalSolution.from_pair(
-        data, Poly(vec[: alpha + 1], data.field), Poly(vec[alpha + 1 :], data.field)
+        data, Poly(vec[:k], data.field), Poly(vec[k:], data.field)
     )
     if minsol.kernel_dim != d:
         raise InternalInconsistency(
@@ -201,30 +202,38 @@ def solve_eea(data: HermiteData) -> Classification:
         raise InternalInconsistency(
             f"interpolant degree {G.degree} reached n = {F.degree}"
         )
-    (F_int, dF), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
-    rows = _remainders(F_int, dF, G_int, L, data.field.p)
-    R, T = next((P, T) for P, _, T, _ in rows if len(P) <= data.k)
+    F_int, (G_int, L) = _ints(data.field, F.coeffs)[0], _ints(data.field, G.coeffs)
+    rows = _remainders(F_int, G_int, data.field.p, True)
+    R, T = next((P, T) for P, _, T, _, _ in rows if len(P) <= data.k)
     pair = Poly(R, data.field), Poly([L * c for c in T], data.field)
     return _classify_minimal(data, MinimalSolution.from_pair(data, *pair))
 
 
-def find_defect(data: HermiteData):
-    """Smallest j whose chart certificate is nonzero, and that chart's vector.
+def upper_certificate(data: HermiteData, j: int, up: tuple) -> "Scalar":
+    """Delta_{k+j,k+j} off up = ``minor_vector(data, k+j-1)``: deleting that
+    matrix's last column leaves the matrix of Delta_{k+j,k+j}, so it is
+    (-1)^(k+j+n) times the vector's last entry."""
+    n = data.n
+    return -up[n] if (data.k + j + n) % 2 else up[n]
 
-    Returns (j, cert_low, cert_up, mv) with cert_low = Delta_{k-j+1,k-j+1},
-    cert_up = Delta_{k+j,k+j}, and mv the signed-minor vector the chart
-    slice reads: t = k-j+1 when cert_low is nonzero, else t = k+j-1.
+
+def find_defect(data: HermiteData):
+    """Smallest j with a nonzero chart certificate, and that chart's vector.
+
+    Returns (j, cert_low, mv) with cert_low = Delta_{k-j+1,k-j+1} and mv the
+    signed-minor vector the chart slice reads: t = k-j+1 when cert_low is
+    nonzero, else t = k+j-1, whose ``upper_certificate`` is then nonzero.
+    The upper chart is eliminated only when the lower certificate vanishes;
+    a caller that needs Delta_{k+j,k+j} beside a nonzero cert_low reads it
+    off the t = k+j-1 vector, which at j = 1 is mv itself.
 
     The scan starts at the nullity N = (n+1) - r of the main (t = k) matrix,
     r read off the elimination of its vector: for j < N, zeroing the top j
     coefficients of A (of B) leaves N - j >= 1 kernel dimensions on the
     columns of Delta_{k-j+1,k-j+1} (Delta_{k+j,k+j}), so both vanish.
-
-    cert_low is the diagonal entry of the t = k-j+1 vector.  Deleting the
-    last column of the t = k+j-1 matrix leaves the matrix of
-    Delta_{k+j,k+j}, so cert_up is (-1)^(k+j+n) times that vector's last
-    entry.  At j = 1 both come from the main vector.  Handing mv on to
-    ``chart_pair`` means no matrix of the route is eliminated twice.
+    cert_low is the diagonal entry of the t = k-j+1 vector.  At j = 1 both
+    charts read the main vector.  Handing mv on to ``chart_pair`` means no
+    matrix of the route is eliminated twice.
 
     Both charts are consulted for j <= m+1, the regime where both components
     of the minimal pair are nonzero.  Data that forces a zero minimal
@@ -237,14 +246,13 @@ def find_defect(data: HermiteData):
     main, r = _minors_and_rank(build_matrix(data, k - 1, n - k))
     main = tuple(-x for x in main) if k % 2 == 0 else main  # minor_vector's sign
     for j in range(n + 1 - r, n - k + 2):
-        up = main if j == 1 else minor_vector(data, k + j - 1)
-        cert_up = -up[n] if (k + j + n) % 2 else up[n]
-        low, cert_low = up, data.field.zero
         if j <= data.m + 1:
-            low = up if j == 1 else minor_vector(data, k - j + 1)
-            cert_low = low[k - j]
-        if cert_low or cert_up:
-            return j, cert_low, cert_up, low if cert_low else up
+            low = main if j == 1 else minor_vector(data, k - j + 1)
+            if low[k - j]:
+                return j, low[k - j], low
+        up = main if j == 1 else minor_vector(data, k + j - 1)
+        if upper_certificate(data, j, up):
+            return j, data.field.zero, up
     raise InternalInconsistency(
         f"no nonzero chart certificate at any defect on {data!r}"
     )
@@ -294,7 +302,7 @@ def solve_minors(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     The defect is certified by the first nonzero diagonal minor flanking
     the vanishing run; the minimal pair is the corresponding chart slice.
     """
-    j, cert_low, cert_up, mv = find_defect(data)
+    j, cert_low, mv = find_defect(data)
     A, B = chart_pair(data, j, not cert_low, mv)
     if A.is_zero and B.is_zero:
         raise InternalInconsistency(

@@ -3,10 +3,11 @@
 The unattainable set decomposes by defect j into strata of odd codimension
 2j-1, each a union of per-node components.  This module re-derives that
 picture two independent ways: ``classify_by_rank`` reads the defect off one
-rank of the main matrix and the witnesses off ranks of row/column-deleted
-matrices, and ``stratum_equations`` evaluates the closed-form chart
-polynomials, sliced from minor vectors, whose zero sets cut the strata out,
-reading witnesses with the solvers' node test.  Both emit a
+rank of the main matrix, and the witnesses and chart certificates off one
+elimination stopped after the defect-shrunken matrix, and
+``stratum_equations`` evaluates the closed-form chart polynomials, sliced
+from minor vectors, whose zero sets cut the strata out, reading witnesses
+with the solvers' node test.  Both emit a
 :class:`StratumReport`; agreement with the solver routes, and with the
 closed form of the first stratum on shape (2,1), is enforced by the test
 suite on every instance it touches.
@@ -20,15 +21,17 @@ ch. 6); ``diagonal_window`` defines the terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InternalInconsistency
 from .field import Scalar
-from .linalg import ExactMatrix, rank
+from .linalg import ExactMatrix, _eliminate, rank
 from .polynomial import _box, _ints, _remainders, hermite_interpolant, product_F
-from .problem import HermiteData, build_matrix, build_submatrix_i, master_matrix, witness_nodes
-from .solvers import chart_pair, diagonal_minor, find_defect
+from .problem import HermiteData, _family_columns, build_matrix, master_matrix, witness_nodes
+from .solvers import chart_pair, diagonal_minor, find_defect, minor_vector, upper_certificate
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,16 @@ def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
     field, n = data.field, data.n
     lo, hi = max(1, data.k - data.m), min(n, data.k + data.m + 1)
     (F, dF), (G, dG) = (_ints(field, f(data).coeffs) for f in (product_F, hermite_interpolant))
-    rows = _remainders(F, dF, G, dG, field.p)
-    (P0, _, _, c0), psc, degs, sigma = next(rows), {}, [n], field.one
-    for P, _, _, c in rows:
+    rows = _remainders(F, G, field.p, False)
+    P0, psc, degs, sigma, cc = next(rows)[0], {}, [n], field.one, Fraction(1, dF * dG)
+    for P, _, _, s, g in rows:
         if len(P) < lo:  # zero, or below degree lo - 1: no psc the window reads
             break
-        d, cc = len(P) - 1, c0 * c  # rho_{i-1} rho_i, without boxing the large c_i
+        # cc = c_{i-1} c_i = c_{i-2} c_{i-1} g_i / s_i, never the large c_i alone
+        d, cc = len(P) - 1, cc * Fraction(g, s)
         sigma *= _box(field, cc.numerator * P0[-1] * P[-1], cc.denominator) ** (degs[-1] - d)
         psc[d] = (-1) ** sum((a - d) * (b - d) for a, b in zip(degs, degs[1:])) * sigma  # tau_i
-        P0, c0, degs = P, c, degs + [d]
+        P0, degs = P, degs + [d]
     pairs = list(zip(data.u, data.n_vec))
     V = math.prod((u - w) ** (m * l) for j, (u, m) in enumerate(pairs) for w, l in pairs[:j])
     return {t: (-1) ** (n + t + 1) * V * psc.get(t - 1, field.zero) for t in range(lo, hi + 1)}
@@ -119,6 +123,49 @@ def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[i
     return roots
 
 
+def _shrunken_verdict(data: HermiteData, d: int) -> tuple[tuple[int, ...], bool, bool]:
+    """Witnesses and the nonvanishing of both chart certificates at defect
+    d <= m+1, off one elimination stopped after the d-shrunken matrix.
+
+    C, the (k-1-d, n-k-d) matrix, has full column rank c = n-2d+1.  Its
+    columns come first, then the right columns n-k-d+1 .. n-k+d-1 and the
+    left columns k-d .. k+d-2 that complete it to the square matrices of
+    Delta_{k-d+1,k-d+1} and Delta_{k+d,k+d}, then one unit column e_r per
+    node, r the last row of its block.  Past C's c pivots, 2d-1 rows remain,
+    each a nonzero multiple of a row of the Schur complement of C.
+    Deleting row r drops the rank of C exactly when e_r lies in C's column
+    space, that is when its column vanishes on those rows.  A certificate is
+    nonzero exactly when its (2d-1)-square block there has full rank
+    (Sylvester's identity; Bareiss 1968).
+    """
+    k, n, field = data.k, data.n, data.field
+    master, w, c = master_matrix(data), 2 * d - 1, n - 2 * d + 1
+    cols = (
+        _family_columns(data, k - 1 - d, n - k - d)
+        + list(range(2 * n + 2 - k - d, 2 * n + 1 - k + d))
+        + list(range(k - d, k + d - 1))
+    )
+    ends = list(itertools.accumulate(data.n_vec))
+    nums = [
+        [row[j] for j in cols] + [den if r == e - 1 else 0 for e in ends]
+        for r, (row, den) in enumerate(zip(master.nums, master.dens))
+    ]
+    M = ExactMatrix.from_ints(nums, master.dens, len(cols) + data.l, field)
+    rows, pivots, _, _, _ = _eliminate(M, c)
+    if len(pivots) != c:
+        raise InternalInconsistency(
+            f"the {d}-shrunken matrix has rank {len(pivots)} < {c} on {data!r}"
+        )
+    tail = [row[c:] for row in rows[c:]]
+
+    def full_rank(at: int) -> bool:
+        block = [row[at : at + w] for row in tail]
+        return rank(ExactMatrix.from_ints(block, [1] * w, w, field)) == w
+
+    witnesses = tuple(i for i in range(data.l) if not any(row[2 * w + i] for row in tail))
+    return witnesses, full_rank(0), full_rank(w)
+
+
 def classify_by_rank(data: HermiteData) -> StratumReport:
     """Rank-only classifier.
 
@@ -129,35 +176,30 @@ def classify_by_rank(data: HermiteData) -> StratumReport:
     exactly for j >= defect, so the one main rank already decides the
     kernel of every shrunken matrix.
 
-    For defect <= m+1, per node, delete the last row of that node's block
-    and the final column of each side of the (defect-1)-shrunken matrix:
-    the data is unattainable through node i exactly when this submatrix
-    loses full column rank.  Data forcing a zero minimal numerator has
-    defect above m+1, beyond the reach of the shrunken matrices; witnesses
-    there come from appending the per-node evaluation functional to the
-    main matrix and checking that the rank does not move.
+    For defect <= m+1 the data is unattainable through node i exactly when
+    deleting the last row of node i's block drops the rank of the
+    defect-shrunken matrix, and one stopped elimination decides that for
+    every node and both chart certificates (``_shrunken_verdict``).  Data
+    forcing a zero minimal numerator has defect above m+1, beyond the reach
+    of the shrunken matrices; witnesses there come from appending the
+    per-node evaluation functional to the main matrix and checking that the
+    rank does not move, and the certificates are determinants.
     """
     k, n, m = data.k, data.n, data.m
     main = build_matrix(data, k - 1, n - k)
     main_rank = rank(main)
     defect = (n + 1) - main_rank
     if defect <= m + 1:
-        j = defect - 1
-        width = n - 2 * j + 1
-        witnesses = []
-        for i in range(1, data.l + 1):
-            sub = build_submatrix_i(data, k - 1 - j, n - k - j, i, drop_cols=(k - j, width))
-            if rank(sub) < width - 2:
-                witnesses.append(i - 1)
+        witnesses, cert_low, cert_up = _shrunken_verdict(data, defect)
     else:
-        witnesses = _denominator_root_nodes(data, main, main_rank)
-    cert_low = diagonal_minor(data, k - defect + 1) if k >= defect else data.field.zero
-    cert_up = diagonal_minor(data, k + defect)
+        witnesses = tuple(_denominator_root_nodes(data, main, main_rank))
+        cert_low = diagonal_minor(data, k - defect + 1) if k >= defect else data.field.zero
+        cert_up = diagonal_minor(data, k + defect)
     return StratumReport(
         defect=defect,
         chart=_chart_label(cert_low, cert_up),
         unattainable=bool(witnesses),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 
@@ -170,7 +212,9 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     the two charts give proportional denominators, so the lower one is
     evaluated.
     """
-    j, cert_low, cert_up, mv = find_defect(data)
+    j, cert_low, mv = find_defect(data)
+    up = mv if j == 1 or not cert_low else minor_vector(data, data.k + j - 1)
+    cert_up = upper_certificate(data, j, up)
     _, B = chart_pair(data, j, not cert_low, mv)
     if B.is_zero:
         raise InternalInconsistency(f"certified chart denominator is zero on {data!r}")

@@ -9,7 +9,13 @@ Vandermonde matrix.  ``defect_by_scan_ref`` is the descending scan of
 shrunken-matrix ranks the rank classifier once ran, kept to show that the
 one main rank gives the same defect; ``find_defect_ref`` is the ascending
 chart scan ``find_defect`` ran from j = 1, kept to show that starting at the
-main matrix's nullity returns the same four values.  ``eliminate_ref`` is
+main matrix's nullity returns the same values; ``defect_certificates`` is
+``find_defect``'s return with the upper certificate read as
+``stratum_equations`` reads it, in ``find_defect_ref``'s shape.
+``solve_kernel_ref`` is the kernel route on the shrunken matrix and
+``classify_by_rank_ref`` the rank classifier on per-node ranks and
+determinant certificates, the routines the one-elimination versions
+replaced.  ``eliminate_ref`` is
 the eager Bareiss loop (every row below the pivot updated and divided by the
 previous pivot), the reference for the lazily scaled ``_eliminate``.
 
@@ -28,15 +34,21 @@ from ratherm import (
     EEARow,
     ExactMatrix,
     HermiteData,
+    MinimalSolution,
     Poly,
     build_matrix,
+    build_submatrix_i,
     classify_by_rank,
+    diagonal_minor,
+    kernel_basis,
     minor_vector,
     paper_identity_catalog,
     rank,
 )
 from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch
 from ratherm.field import RATIONALS
+from ratherm.solvers import _classify_minimal, find_defect, upper_certificate
+from ratherm.strata import StratumReport, _chart_label, _denominator_root_nodes
 
 
 def b1_closed_form_check(data: HermiteData) -> bool:
@@ -88,6 +100,67 @@ def find_defect_ref(data: HermiteData):
         if cert_low or cert_up:
             return j, cert_low, cert_up, low if cert_low else up
     raise InternalInconsistency(f"no nonzero chart certificate at any defect on {data!r}")
+
+
+def defect_certificates(data: HermiteData):
+    """(j, cert_low, cert_up, mv): ``find_defect``'s values with
+    Delta_{k+j,k+j} read as ``stratum_equations`` reads it, off mv when mv
+    is the t = k+j-1 vector and off that vector otherwise."""
+    j, cert_low, mv = find_defect(data)
+    up = mv if j == 1 or not cert_low else minor_vector(data, data.k + j - 1)
+    return j, cert_low, upper_certificate(data, j, up), mv
+
+
+def solve_kernel_ref(data: HermiteData):
+    """The kernel route on two kernel bases: the main matrix's gives the
+    defect d, and the one-dimensional kernel of the matrix shrunk to the
+    bounds deg A0 <= k-d, deg B0 <= n-k-d+1 is the pair."""
+    k, n = data.k, data.n
+    basis = kernel_basis(build_matrix(data, k - 1, n - k))
+    d = len(basis)
+    alpha = max(k - d, -1)
+    if d != 1:
+        basis = kernel_basis(build_matrix(data, alpha, n - k - d + 1))
+    if len(basis) != 1:
+        raise InternalInconsistency(f"shrunken kernel at defect {d} has {len(basis)} vectors")
+    vec = basis[0]
+    minsol = MinimalSolution.from_pair(
+        data, Poly(vec[: alpha + 1], data.field), Poly(vec[alpha + 1 :], data.field)
+    )
+    if minsol.kernel_dim != d:
+        raise InternalInconsistency(f"dimension law broken: {minsol.kernel_dim} != {d}")
+    return minsol, _classify_minimal(data, minsol)
+
+
+def classify_by_rank_ref(data: HermiteData) -> StratumReport:
+    """The rank classifier on one rank per node and determinant
+    certificates: at defect d <= m+1 node i is a witness when deleting the
+    last row of its block and the last column of each side from the
+    (d-1)-shrunken matrix loses full column rank, and the certificates are
+    ``diagonal_minor(k-d+1)`` and ``diagonal_minor(k+d)``."""
+    k, n, m = data.k, data.n, data.m
+    main = build_matrix(data, k - 1, n - k)
+    main_rank = rank(main)
+    defect = (n + 1) - main_rank
+    if defect <= m + 1:
+        j = defect - 1
+        width = n - 2 * j + 1
+        witnesses = [
+            i - 1
+            for i in range(1, data.l + 1)
+            if rank(build_submatrix_i(data, k - 1 - j, n - k - j, i, drop_cols=(k - j, width)))
+            < width - 2
+        ]
+    else:
+        witnesses = _denominator_root_nodes(data, main, main_rank)
+    cert_low = diagonal_minor(data, k - defect + 1) if k >= defect else data.field.zero
+    cert_up = diagonal_minor(data, k + defect)
+    return StratumReport(
+        defect=defect,
+        chart=_chart_label(cert_low, cert_up),
+        unattainable=bool(witnesses),
+        witnesses=tuple(witnesses),
+    )
 
 
 def eliminate_ref(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:

@@ -38,11 +38,12 @@ from ratherm import (
     solve_minors,
 )
 from ratherm.polynomial import _eea_table
-from ratherm.solvers import chart_pair, find_defect
+from ratherm.solvers import chart_pair
 from ratherm.verify import random_data, random_nodes
 
 from oracles import (
     b1_closed_form_check,
+    defect_certificates,
     disputed_variants,
     divmod_ref,
     specialized_vandermonde_data,
@@ -204,7 +205,7 @@ def test_criterion_4_three_route_agreement():
         assert minsol_k.kernel_dim == minsol_k.s0 + 1 == dim
         assert minsol_m == minsol_k
         # vanishing pattern of diagonal minors certifies exactly the defect
-        j, cert_low, cert_up, _ = find_defect(d)
+        j, cert_low, cert_up, _ = defect_certificates(d)
         assert j == dim
         assert cert_low or cert_up
         for jj in range(1, j):

@@ -1,16 +1,20 @@
 """Elimination budgets: each route and classifier eliminates every distinct
-matrix it needs once, ``find_defect`` at most three, and ``eea-trace`` runs
-one Euclid for its table.
+matrix it needs once, ``find_defect`` at most three, ``solve_kernel`` one,
+``classify_by_rank`` two below defect m+2 plus at most two tail ranks, and
+``eea-trace`` runs one Euclid for its table.
 
-The counters wrap ``rank`` and ``diagonal_minor`` where ``strata`` imports
-them, ``_remainders`` in ``polynomial``, and ``_minors_and_rank`` both in
-``linalg``, behind ``signed_minors``, and where ``solvers`` imports it for
-``find_defect``'s read of the main matrix, so every call a route,
-classifier or command makes is seen.
+``_count_eliminations`` wraps ``linalg._eliminate`` in ``linalg`` and in
+every ratherm module that binds it, so each elimination is seen, behind
+the public wrappers or not.  The other counters wrap ``rank`` and
+``diagonal_minor`` where ``strata`` imports them, ``_remainders`` in
+``polynomial``, and ``_minors_and_rank`` both in ``linalg``, behind
+``signed_minors``, and where ``solvers`` imports it for ``find_defect``'s
+read of the main matrix.
 """
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -21,7 +25,9 @@ from ratherm import (
     classify_by_rank,
     linalg,
     polynomial,
+    problem,
     sample_stratum,
+    solve_kernel,
     solve_minors,
     solvers,
     strata,
@@ -49,6 +55,21 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _count_eliminations(monkeypatch):
+    """Every ``_eliminate`` call, as the (rows, columns, stop) it ran on."""
+    calls = []
+    inner = linalg._eliminate
+
+    def wrapped(M, stop=None):
+        calls.append((M.r, M.c, stop))
+        return inner(M, stop)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ratherm" and getattr(module, "_eliminate", None) is inner:
+            monkeypatch.setattr(module, "_eliminate", wrapped)
+    return calls
+
+
 def _count_minor_vectors(monkeypatch):
     calls = _count(monkeypatch, linalg, "_minors_and_rank")
     monkeypatch.setattr(solvers, "_minors_and_rank", linalg._minors_and_rank)
@@ -73,61 +94,108 @@ def test_minors_route_and_stratum_equations_eliminate_one_vector(monkeypatch, ge
         assert len(calls) == 1
 
 
-def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
-    """The main matrix gives the nullity N, where the scan starts: one
-    elimination at defect 1, and the charts of N above it, two up to m+1
-    and the upper one alone beyond.  The ascending scan it replaced took
-    2N-1 up to m+1; the defect-4 draw pins both counts."""
-    calls = _count_minor_vectors(monkeypatch)
-    draws = [
-        sample_stratum(shape, k, j, forced, 60 + j, field)
+def _draws(shapes, seed):
+    """sample_stratum draws at every feasible defect, plain and forced, over
+    Q and GF(1000003)."""
+    return [
+        sample_stratum(shape, k, j, forced, seed + j, field)
         for field in (RAT, FieldConfig.prime(1000003))
-        for shape, k, m in (((3, 3, 2), 4, 3), ((4, 4, 4), 6, 5))
+        for shape, k, m in shapes
         for forced, top in ((False, m + 1), (True, m))
         for j in range(1, top + 1)
     ]
-    zero_numerator = [
-        HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT),
-        HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT),
-    ]
-    for d in generic + draws + zero_numerator:
+
+
+ZERO_NUMERATOR = [
+    HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT),
+    HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT),
+]
+
+
+def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
+    """The main matrix gives the nullity N, where the scan starts: one
+    elimination at defect 1; up to m+1 the lower chart of N, and the upper
+    one only when the lower certificate vanishes; beyond m+1 the upper
+    chart alone.  The ascending scan it replaced took 2N-1 up to m+1; the
+    defect-4 draw pins both counts.  ``solve_minors`` costs what
+    ``find_defect`` does, and ``stratum_equations``, which reads both
+    certificates for its chart label, three at defect 2..m+1."""
+    calls = _count_minor_vectors(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch)
+    draws = _draws((((3, 3, 2), 4, 3), ((4, 4, 4), 6, 5)), 60)
+    lower_only = 0
+    for d in generic + draws + ZERO_NUMERATOR:
         calls.clear()
-        j = find_defect(d)[0]
-        assert len(calls) == (1 if j == 1 else 3 if j <= d.m + 1 else 2)
+        j, cert_low, _ = find_defect(d)
+        inner = 1 if j == 1 else 3 if j <= d.m + 1 and not cert_low else 2
+        assert len(calls) == inner
+        lower_only += 2 <= j and bool(cert_low)
+        calls.clear()
+        eliminations.clear()
+        solve_minors(d)
+        assert len(calls) == len(eliminations) == inner
+        calls.clear()
+        eliminations.clear()
+        stratum_equations(d)
+        assert len(calls) == len(eliminations) == (1 if j == 1 else 3 if j <= d.m + 1 else 2)
     assert {find_defect(d)[0] for d in draws} == set(range(1, 7))
+    assert lower_only >= 20
     pinned = sample_stratum((4, 4, 4), 6, 4, False, 1, RAT)
     calls.clear()
-    assert find_defect(pinned)[0] == 4 and len(calls) == 3
+    j, cert_low, _ = find_defect(pinned)
+    assert j == 4 and cert_low and len(calls) == 2
     calls.clear()
     assert find_defect_ref(pinned)[0] == 4 and len(calls) == 7
 
 
-def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic):
-    """One main rank gives the defect in both regimes; each node then costs
-    one rank, a deleted-row submatrix at defect <= m+1 or the main matrix
-    with that node's evaluation row appended."""
-    calls = _count(monkeypatch, strata, "rank")
-    draws = [
-        sample_stratum((3, 3, 2), 4, j, forced, 80 + j, field)
-        for field in (RAT, FieldConfig.prime(1000003))
-        for forced, top in ((False, 4), (True, 3))
-        for j in range(1, top + 1)
-    ]
-    zero_numerator = [
-        HermiteData((0,), (4,), ((0, 0, 0, 1),), 1, RAT),
-        HermiteData((0, 1), (2, 2), ((0, 0), (0, 1)), 1, RAT),
-    ]
-    for d in generic + draws + zero_numerator:
+def test_solve_kernel_eliminates_the_main_matrix_once(monkeypatch, generic):
+    """The pair is the kernel vector of the main matrix's first free column
+    at every defect, so no shrunken matrix is eliminated."""
+    calls = _count_eliminations(monkeypatch)
+    draws = _draws((((3, 3, 2), 4, 3),), 70)
+    for d in generic + draws + ZERO_NUMERATOR:
         calls.clear()
+        solve_kernel(d)
+        assert calls == [(d.n, d.n + 1, None)]
+    assert {solve_kernel(d)[0].kernel_dim for d in draws} == {1, 2, 3, 4}
+
+
+def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic):
+    """One main rank gives the defect in both regimes.  Up to defect m+1
+    one elimination, stopped after the c = n-2d+1 columns of the
+    d-shrunken matrix, then gives every witness, and one rank of each
+    (2d-1)-square tail block each certificate: no determinant, no
+    submatrix.  Beyond m+1 each node costs one rank of the main matrix with
+    that node's evaluation row appended."""
+    eliminations = _count_eliminations(monkeypatch)
+    ranks = _count(monkeypatch, strata, "rank")
+    forbidden = [
+        _count(monkeypatch, solvers, "determinant"),
+        _count(monkeypatch, strata, "diagonal_minor"),
+        _count(monkeypatch, problem, "build_submatrix_i"),
+    ]
+    draws = _draws((((3, 3, 2), 4, 3),), 80)
+    for d in generic + draws + ZERO_NUMERATOR:
+        for calls in [eliminations, ranks] + forbidden:
+            calls.clear()
         rep = classify_by_rank(d)
-        assert (rep.defect > d.m + 1) == (d in zero_numerator)
-        assert len(calls) == 1 + d.l
+        assert (rep.defect > d.m + 1) == (d in ZERO_NUMERATOR)
+        if d in ZERO_NUMERATOR:
+            assert len(ranks) == 1 + d.l
+            continue
+        w, c = 2 * rep.defect - 1, d.n - 2 * rep.defect + 1
+        assert eliminations == [
+            (d.n, d.n + 1, None), (d.n, c + 2 * w + d.l, c), (w, w, None), (w, w, None)
+        ]
+        assert len(ranks) == 3
+        assert not any(forbidden)
 
 
 def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
-    """The display window reads the remainder sequence, not determinants; the
-    rank classifier takes its two chart certificates, one when the lower
-    chart's index k-defect+1 falls below 1."""
+    """The display window reads the remainder sequence, not determinants;
+    the rank classifier reads its chart certificates off the stopped
+    elimination up to defect m+1, and takes Delta_{k+d,k+d} as a
+    determinant beyond it, where the lower chart's index k-d+1 is below 1."""
     calls = _count(monkeypatch, strata, "diagonal_minor")
     draws = [
         sample_stratum((3, 3, 2), 4, j, False, 40 + j, field)
@@ -140,7 +208,7 @@ def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
         diagonal_window(d)
         assert calls == []
         defect = classify_by_rank(d).defect
-        assert len(calls) == (2 if d.k - defect + 1 >= 1 else 1)
+        assert len(calls) == (0 if defect <= d.m + 1 else 1)
     assert d is beyond and len(calls) == 1
 
 

@@ -154,9 +154,9 @@ def test_gcd_divides_out_a_large_shared_content(p, q, g, content, extra):
     seen = []
     inner = polynomial._remainders
 
-    def spy(R0, d0, R, d1, prime):
+    def spy(R0, R, prime, cofactors):
         seen.append((R0, R))
-        return inner(R0, d0, R, d1, prime)
+        return inner(R0, R, prime, cofactors)
 
     polynomial._remainders = spy
     try:
@@ -184,12 +184,16 @@ GOLDEN = [
 ]
 
 
-def remainder_rows(data):
-    """(F, G) = (``product_F``, ``hermite_interpolant``) and the rows of
-    ``_remainders`` on their int forms, with G's denominator L."""
+def remainder_rows(data, cofactors=True):
+    """(F, G) = (``product_F``, ``hermite_interpolant``), G's denominator L
+    and the rows (P_i, q_i, T_i, c_i) of ``_remainders`` on their int forms,
+    c_0 = 1/d_F, c_1 = 1/L and c_i = c_{i-2} g_i / s_i folded here."""
     F, G = product_F(data), hermite_interpolant(data)
     (F_int, dF), (G_int, L) = _ints(data.field, F.coeffs), _ints(data.field, G.coeffs)
-    return F, G, L, list(_remainders(F_int, dF, G_int, L, data.field.p))
+    rows, cs = list(_remainders(F_int, G_int, data.field.p, cofactors)), [Fraction(1, dF), Fraction(1, L)]
+    for _, _, _, s, g in rows[2:]:
+        cs.append(cs[-2] * Fraction(g, s))
+    return F, G, L, [(P, q, T, c) for (P, q, T, _, _), c in zip(rows, cs)]
 
 
 def scaled(field, c, xs):
@@ -203,16 +207,19 @@ def scaled(field, c, xs):
 @settings(max_examples=150)
 @given(problems(max_nodes=3, max_mult=4))
 def test_remainder_rows_match_eea_table(data):
-    """r_i = c_i P_i and t_i = c_i L T_i on every row, the zero row included."""
+    """r_i = c_i P_i and t_i = c_i L T_i on every row, the zero row included;
+    without cofactors the rows carry no T_i and still give r_i = c_i P_i."""
     F, G, L, rows = remainder_rows(data)
+    _, _, _, bare = remainder_rows(data, cofactors=False)
     if G.is_zero:
-        assert [P for P, _, _, _ in rows] == [rows[0][0], []]
+        assert [P for P, _, _, _ in rows] == [P for P, _, _, _ in bare] == [rows[0][0], []]
         return
     table = eea_ref(F, G)
-    assert len(rows) == len(table)
-    for (P, _, T, c), row in zip(rows, table):
-        assert scaled(data.field, c, P) == row.remainder
+    assert len(rows) == len(bare) == len(table)
+    for (P, _, T, c), (P_bare, _, T_bare, c_bare), row in zip(rows, bare, table):
+        assert scaled(data.field, c, P) == scaled(data.field, c_bare, P_bare) == row.remainder
         assert scaled(data.field, c * L, T) == row.bezout_t
+        assert T_bare is None
 
 
 def test_eea_route_matches_eea_table_cut_on_golden_documents():

@@ -37,11 +37,19 @@ from ratherm import (
     solve_minors,
     stratum_equations,
 )
-from ratherm.linalg import determinant
+from ratherm.linalg import _eliminate, _kernel_vector, determinant
 from ratherm.problem import witness_nodes
 from ratherm.solvers import _classify_minimal, chart_pair, find_defect
 
-from oracles import divmod_ref, eea_ref, find_defect_ref
+from oracles import (
+    classify_by_rank_ref,
+    defect_certificates,
+    divmod_ref,
+    eea_ref,
+    find_defect_ref,
+    solve_kernel_ref,
+)
+from test_golden_cli import _low_entropy_documents
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -101,7 +109,7 @@ def test_golden_minors_route(golden):
     minsol, verdict = solve_minors(golden)
     assert minsol.A0 == minsol.B0 == Poly((-2, 1), RAT)
     assert (verdict.stratum_j, verdict.witness_nodes) == (1, (1,))
-    j, cert_low, cert_up, _ = find_defect(golden)
+    j, cert_low, cert_up, _ = defect_certificates(golden)
     assert j == 1
     assert cert_low == diagonal_minor(golden, 2) == Fraction(1)
     assert cert_up == diagonal_minor(golden, 3) == Fraction(1)
@@ -222,7 +230,7 @@ def test_find_defect_matches_kernel_dimension():
     for shape, k in SHAPES:
         for _ in range(3):
             d = random_data(rng, shape, k)
-            j, cert_low, cert_up, _ = find_defect(d)
+            j, cert_low, cert_up, _ = defect_certificates(d)
             dim = (d.n + 1) - rank(build_matrix(d, d.k - 1, d.n - d.k))
             assert j == dim
             assert cert_low or cert_up
@@ -239,7 +247,7 @@ def test_charts_are_proportional_when_both_certified():
     for shape, k in SHAPES:
         for _ in range(4):
             d = random_data(rng, shape, k)
-            j, cert_low, cert_up, _ = find_defect(d)
+            j, cert_low, cert_up, _ = defect_certificates(d)
             if not (cert_low and cert_up):
                 continue
             seen += 1
@@ -281,7 +289,7 @@ def test_find_defect_certificates_are_diagonal_minors():
     must be the diagonal minors, sign included."""
     beyond = 0
     for d in _sign_law_instances():
-        j, cert_low, cert_up, _ = find_defect(d)
+        j, cert_low, cert_up, _ = defect_certificates(d)
         lower = diagonal_minor(d, d.k - j + 1) if j <= d.m + 1 else d.field.zero
         assert (cert_low, cert_up) == (lower, diagonal_minor(d, d.k + j))
         beyond += j > d.m + 1
@@ -303,7 +311,7 @@ def test_certificates_vanish_below_the_main_nullity():
             assert not diagonal_minor(d, k + j)
             checked += 1
             beyond += j > d.m + 1
-        assert find_defect(d) == find_defect_ref(d)
+        assert defect_certificates(d) == find_defect_ref(d)
     assert checked >= 70 and beyond >= 3
 
 
@@ -329,13 +337,13 @@ def test_find_defect_returns_the_certified_charts_vector():
     certificate alone or both, tell them apart."""
     split = 0
     for d in _sign_law_instances():
-        j, cert_low, _, mv = find_defect(d)
+        j, cert_low, mv = find_defect(d)
         t = d.k - j + 1 if cert_low else d.k + j - 1
         assert mv == minor_vector(d, t)
         split += 2 <= j <= d.m + 1
     assert split >= 30
     for d, defect in _upper_only_instances():
-        j, cert_low, cert_up, mv = find_defect(d)
+        j, cert_low, cert_up, mv = defect_certificates(d)
         assert (j, cert_low) == (defect, 0) and 2 <= j <= d.m + 1 and cert_up
         assert mv == minor_vector(d, d.k + j - 1)
         assert solve_minors(d)[1].solvable
@@ -353,7 +361,7 @@ def test_zero_numerator_defect_beyond_generic_bound(d, defect, wits):
     minsol_m, verdict_m = solve_minors(d)
     assert verdict_m == verdict
     assert minsol_m == minsol
-    j, cert_low, cert_up, _ = find_defect(d)
+    j, cert_low, cert_up, _ = defect_certificates(d)
     assert (j, cert_low) == (defect, Fraction(0))
     assert cert_up
     # the minimal denominator factors into node differences only
@@ -369,6 +377,62 @@ def test_zero_numerator_defect_beyond_generic_bound(d, defect, wits):
                 break
         prod = prod * Poly((-ui, 1), RAT) ** mult
     assert prod == minsol.B0
+
+
+# ------------------------------------- one-elimination kernel and classifier
+
+
+def _differential_instances():
+    """The sign-law draws, the upper-only data and the 240 zero-heavy
+    documents of the golden corpus generator."""
+    docs = _low_entropy_documents(120, 120)
+    return (
+        _sign_law_instances()
+        + [d for d, _ in _upper_only_instances()]
+        + [HermiteData.from_json_dict(doc) for doc in docs]
+    )
+
+
+def test_free_columns_of_the_main_matrix_are_a_run_from_deg_B0():
+    """The lemma ``solve_kernel`` rests on: the main matrix's free columns
+    are the right columns deg B0 .. deg B0 + d-1, d the defect, and the
+    kernel vector of the first of them is (A0, B0); the pair comes from the
+    minors route, which eliminates other matrices."""
+    beyond = 0
+    for d in _sign_law_instances() + [d for d, _ in _upper_only_instances()]:
+        k, n = d.k, d.n
+        minsol, _ = solve_minors(d)
+        M = build_matrix(d, k - 1, n - k)
+        rows, pivots, last, _, _ = _eliminate(M)
+        start = k + minsol.dB
+        assert [c for c in range(n + 1) if c not in pivots] == list(range(start, start + minsol.kernel_dim))
+        vec = _kernel_vector(M, rows, pivots, last, start)
+        A, B = Poly(vec[:k], d.field), Poly(vec[k:], d.field)
+        assert MinimalSolution.from_pair(d, A, B) == minsol
+        beyond += minsol.kernel_dim > d.m + 1
+    assert beyond == 3 * len(DEGENERATE)
+
+
+def test_kernel_route_matches_shrunken_matrix_reference():
+    """``solve_kernel`` on one elimination returns what the shrunken-matrix
+    route returned, pair and verdict, at every defect."""
+    instances = _differential_instances()
+    for d in instances:
+        assert solve_kernel(d) == solve_kernel_ref(d)
+    assert {solve_kernel(d)[0].kernel_dim for d in instances} >= set(range(1, 5))
+
+
+def test_rank_classifier_matches_per_node_rank_reference():
+    """``classify_by_rank`` off one stopped elimination returns the report
+    of per-node ranks and determinant certificates: defect, chart label
+    (both certificates' nonvanishing), verdict and witnesses."""
+    charts, unattainable = set(), 0
+    for d in _differential_instances():
+        got = classify_by_rank(d)
+        assert got == classify_by_rank_ref(d)
+        charts.add(got.chart)
+        unattainable += got.unattainable and got.defect <= d.m + 1
+    assert charts == {"lower", "upper", "both"} and unattainable >= 50
 
 
 # --------------------------------------------------------- minimal solutions
