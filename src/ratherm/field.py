@@ -75,8 +75,9 @@ def _check_digits(text: str) -> None:
 
 
 def parse_json_int(text: str) -> int:
-    """A JSON integer literal, its digits counted before it is built."""
-    _check_digits(text)
+    """A JSON integer literal; one longer than MAX_DIGITS has its digits counted first."""
+    if len(text) > MAX_DIGITS:
+        _check_digits(text)
     return int(text)
 
 
@@ -110,7 +111,7 @@ class PrimeFieldElement:
                 raise MixedFields(f"GF({self.p}) vs GF({other.p})")
             return other
         if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
+            return _mod(other, self.p)
         if isinstance(other, Fraction):
             raise MixedFields(f"GF({self.p}) vs rational")
         return None
@@ -119,7 +120,7 @@ class PrimeFieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue + o.residue, self.p)
+        return _mod(self.residue + o.residue, self.p)
 
     __radd__ = __add__
 
@@ -127,19 +128,19 @@ class PrimeFieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue - o.residue, self.p)
+        return _mod(self.residue - o.residue, self.p)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(o.residue - self.residue, self.p)
+        return _mod(o.residue - self.residue, self.p)
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue * o.residue, self.p)
+        return _mod(self.residue * o.residue, self.p)
 
     __rmul__ = __mul__
 
@@ -158,7 +159,7 @@ class PrimeFieldElement:
         return o / self
 
     def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.p)
+        return _mod(-self.residue, self.p)
 
     def __pos__(self):
         return self
@@ -166,18 +167,27 @@ class PrimeFieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        return PrimeFieldElement(pow(self.residue, e, self.p), self.p)
+        return _mod(pow(self.residue, e, self.p), self.p)
 
     def inverse(self) -> "PrimeFieldElement":
         if not self.residue:
             raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return PrimeFieldElement(pow(self.residue, -1, self.p), self.p)
+        return _mod(pow(self.residue, -1, self.p), self.p)
 
     def __bool__(self):
         return self.residue != 0
 
     def __str__(self):
         return f"{self.residue} mod {self.p}"
+
+
+def _mod(r: int, p: int) -> PrimeFieldElement:
+    """r mod p for a p already certified prime (a FieldConfig's, or an
+    operand's): built without the primality test and the dataclass init."""
+    x = object.__new__(PrimeFieldElement)
+    object.__setattr__(x, "residue", r % p)
+    object.__setattr__(x, "p", p)
+    return x
 
 
 Scalar = Union[Fraction, PrimeFieldElement]
@@ -213,7 +223,7 @@ class FieldConfig:
     def from_int(self, n: int) -> Scalar:
         if self.p is None:
             return Fraction(n)
-        return PrimeFieldElement(n, self.p)
+        return _mod(n, self.p)
 
     def contains(self, x: Scalar) -> bool:
         if self.p is None:
@@ -252,20 +262,22 @@ class FieldConfig:
             if isinstance(obj, int):
                 return Fraction(obj)
             if isinstance(obj, str):
-                _check_digits(obj)
+                # without an exponent no count exceeds the length of the text
+                if len(obj) > MAX_DIGITS or "e" in obj or "E" in obj:
+                    _check_digits(obj)
                 try:
                     return Fraction(obj)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InvalidInput(f"bad rational literal {obj!r}") from exc
             raise InvalidInput(f"bad rational value {obj!r}")
         if isinstance(obj, int):
-            return PrimeFieldElement(obj, self.p)
+            return _mod(obj, self.p)
         if isinstance(obj, dict) and set(obj) == {"residue", "p"}:
             if type(obj["residue"]) is not int:
                 raise InvalidInput(f"bad GF({self.p}) residue {obj['residue']!r}")
             if obj["p"] != self.p:
                 raise InvalidInput(f"residue mod {obj['p']} in a GF({self.p}) document")
-            return PrimeFieldElement(obj["residue"], self.p)
+            return _mod(obj["residue"], self.p)
         raise InvalidInput(f"bad GF({self.p}) value {obj!r}")
 
     def to_json(self):

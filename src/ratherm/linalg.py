@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalInconsistency, ShapeMismatch
 from .field import FieldConfig, Scalar, infer_field
-from .polynomial import _ints
+from .polynomial import _box, _ints
 
 
 class ExactMatrix:
@@ -228,9 +228,9 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     return basis
 
 
-def _minors_and_rank(M: ExactMatrix) -> tuple[tuple, int]:
-    """``signed_minors(M)`` and rank(M) off one elimination; at full rank the
-    vector is the kernel vector of the free column f, (-1)^(f+parity) / scale."""
+def _minors_and_rank(M: ExactMatrix, negate: bool = False) -> tuple[tuple, int]:
+    """``signed_minors(M)``, negated with ``negate``, and rank(M) off one elimination; at full
+    rank the free column f's kernel vector times (-1)^(f+parity+negate) / scale, boxed once."""
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
     rows, pivots, last, parity, scale = _eliminate(M)
@@ -238,9 +238,9 @@ def _minors_and_rank(M: ExactMatrix) -> tuple[tuple, int]:
     if len(pivots) < M.r:
         return (field.zero,) * M.c, len(pivots)
     f = next(c for c in range(M.c) if c not in pivots)
-    factor = field.from_int(-1 if (f + parity) % 2 else 1) / field.from_int(scale)
     v = _kernel_vector(M, rows, pivots, last, f)
-    return tuple(field.from_int(x) * factor for x in v), M.r
+    sign = -1 if (f + parity + negate) % 2 else 1
+    return tuple(_box(field, [sign * x for x in v], scale)), M.r
 
 
 def signed_minors(M: ExactMatrix) -> tuple:

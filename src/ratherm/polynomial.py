@@ -11,10 +11,11 @@ rational function (power-series division, no symbolic quotient rule).
 
 ``Poly`` arithmetic (``+``, ``-``, ``*``, ``**``, ``monic``; there is no
 polynomial division) runs on field scalars.  ``evaluate``,
-``taylor_prefix`` (a Taylor shift at an int node), ``hermite_interpolant``,
-``product_F`` and ``_remainders`` (the one remainder sequence, behind
-``gcd``, ``eea``, ``solve_eea`` and ``diagonal_window``) run on
-cleared-denominator ints from ``_ints`` and box only their results.
+``taylor_prefix`` (a Taylor shift at an int node), ``rational_taylor``,
+``hermite_interpolant``, ``product_F`` and ``_remainders`` (the one
+remainder sequence, behind ``gcd``, ``eea``, ``solve_eea`` and
+``diagonal_window``) run on cleared-denominator ints from ``_ints`` and
+box each result once (``_box``); results become a ``Poly`` unchecked.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .field import (
     FieldConfig,
     PrimeFieldElement,
     Scalar,
+    _mod,
     infer_field,
     sealed,
 )
@@ -65,6 +67,17 @@ class Poly:
         object.__setattr__(self, "field", field)
 
     @classmethod
+    def _trimmed(cls, coeffs: list, field: FieldConfig) -> "Poly":
+        """The polynomial of the list ``coeffs``, already scalars of
+        ``field``, taken unchecked: its trailing zeros popped, nothing coerced."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        object.__setattr__(out, "field", field)
+        return out
+
+    @classmethod
     def zero(cls, field: FieldConfig = RATIONALS) -> "Poly":
         return cls((), field)
 
@@ -92,7 +105,7 @@ class Poly:
                 raise MixedFields(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, (int, Fraction, PrimeFieldElement)):
-            return Poly((self.field.coerce(other),), self.field)
+            return Poly._trimmed([self.field.coerce(other)], self.field)
         return NotImplemented
 
     def __bool__(self):
@@ -108,12 +121,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out, self.field)
+        return Poly._trimmed(out, self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.field)
+        return Poly._trimmed([-c for c in self.coeffs], self.field)
 
     def __sub__(self, other):
         o = self._join(other)
@@ -130,7 +143,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PrimeFieldElement)):
             c = self.field.coerce(other)
-            return Poly([c * a for a in self.coeffs], self.field)
+            return Poly._trimmed([c * a for a in self.coeffs], self.field)
         o = self._join(other)
         if o is NotImplemented:
             return NotImplemented
@@ -142,7 +155,7 @@ class Poly:
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out, self.field)
+        return Poly._trimmed(out, self.field)
 
     __rmul__ = __mul__
 
@@ -216,9 +229,14 @@ def _ints(field: FieldConfig, xs) -> tuple[list[int], int]:
     return [x.residue for x in xs], 1
 
 
-def _box(field: FieldConfig, num: int, den: int) -> Scalar:
-    """num / den as a field scalar; den is 1 over GF(p)."""
-    return Fraction(num, den) if field.p is None else field.from_int(num)
+def _box(field: FieldConfig, nums, den: int = 1) -> list[Scalar]:
+    """Each nums[i] / den as a field scalar, built once; den is nonzero
+    (mod p over GF(p))."""
+    p = field.p
+    if p is None:
+        return [Fraction(x, den) for x in nums]
+    inv = pow(den, -1, p)
+    return [_mod(x * inv, p) for x in nums]
 
 
 def _shift(c: list, d: int, a: int, b: int, count: int, p) -> tuple[list[int], int]:
@@ -306,7 +324,8 @@ def gcd(p: Poly, q: Poly) -> Poly:
         raise MixedFields(f"{p.field} vs {q.field}")
     ints = (_ints(p.field, P.coeffs)[0] for P in (p, q))
     a, b = sorted(([x // math.gcd(*P) for x in P] for P in ints), key=len, reverse=True)
-    return Poly([P for P, *_ in _remainders(a, b, p.field.p, False) if P][-1], p.field).monic()
+    g = [P for P, *_ in _remainders(a, b, p.field.p, False) if P][-1]
+    return Poly._trimmed(_box(p.field, g, g[-1]), p.field)
 
 
 def _eea_table(F: Poly, G: Poly) -> list[EEARow]:
@@ -331,7 +350,7 @@ def _eea_table(F: Poly, G: Poly) -> list[EEARow]:
 
     def box(k: Fraction, xs: list) -> Poly:
         # Fraction * int reduces by gcd(x, den k) only, not by a full gcd
-        return Poly([k * x for x in xs] if p is None else xs, field)
+        return Poly._trimmed([k * x for x in xs] if p is None else _box(field, xs), field)
 
     seq, table, Q = list(_remainders(R0, R, p, True)), [], Poly.zero(field)
     cs = [Fraction(1, dF), Fraction(1, L)]
@@ -381,19 +400,17 @@ def hermite_interpolant(data: "HermiteData") -> Poly:
     common denominator (1 over GF(p)) and boxed once.
     """
     field, p = data.field, data.field.p
-    nodes = [(a, b) for (a,), b in (_ints(field, (ui,)) for ui in data.u)]
+    nodes = data._node_ints()
     total, den = [0] * data.n, 1
-    for i, (vi, ni) in enumerate(zip(data.v, data.n_vec)):
-        a, b = nodes[i]
+    for i, ((a, b, w, L), ni) in enumerate(zip(nodes, data.n_vec)):
         H = [1]
-        for j, ((aj, bj), nj) in enumerate(zip(nodes, data.n_vec)):
+        for j, ((aj, bj, _, _), nj) in enumerate(zip(nodes, data.n_vec)):
             if j == i:
                 continue
             for _ in range(nj):
                 H = [bj * lo - aj * hi for lo, hi in zip([0] + H, H + [0])]
                 H = H if p is None else [c % p for c in H]
         e, q = _shift(H, 1, a, b, ni, p)
-        w, L = _ints(field, vi)
         e0, tau = e[0], []
         for t in range(ni):
             acc = w[t] * e0**t - sum(tau[s] * e[t - s] * e0 ** (t - 1 - s) for s in range(t))
@@ -409,7 +426,7 @@ def hermite_interpolant(data: "HermiteData") -> Poly:
         lcm = math.lcm(den, f.denominator)
         up, mul = lcm // den, f.numerator * (lcm // f.denominator)
         total, den = [y * up + x * mul for y, x in zip(total, N)], lcm
-    return Poly([_box(field, x, den) for x in total], field)
+    return Poly._trimmed(_box(field, total, den), field)
 
 
 def product_F(data: "HermiteData") -> Poly:
@@ -417,11 +434,10 @@ def product_F(data: "HermiteData") -> Poly:
     product prod (b x - a)^{n_i} for u_i = a/b (b = 1 over GF(p), where
     a is the residue), made monic once."""
     out = [1]
-    for ui, ni in zip(data.u, data.n_vec):
-        (a,), b = _ints(data.field, (ui,))
+    for (a, b, _, _), ni in zip(data._node_ints(), data.n_vec):
         for _ in range(ni):
             out = [b * lo - a * hi for lo, hi in zip([0] + out, out + [0])]
-    return Poly(out, data.field).monic()
+    return Poly._trimmed(_box(data.field, out, out[-1]), data.field)
 
 
 def taylor_prefix(p: Poly, x0, count: int) -> list[Scalar]:
@@ -431,25 +447,28 @@ def taylor_prefix(p: Poly, x0, count: int) -> list[Scalar]:
     field = p.field
     (a,), b = _ints(field, (field.coerce(x0),))
     e, q = _shift(*_ints(field, p.coeffs), a, b, count, field.p)
-    return [_box(field, x, q) for x in e]
+    return _box(field, e, q)
 
 
 def rational_taylor(A: Poly, B: Poly, x0, count: int) -> list[Scalar]:
-    """First ``count`` Taylor coefficients of A/B at x0.
+    """First ``count`` Taylor coefficients of A/B at x0, requiring B(x0) != 0.
 
-    Power-series division: q_t = (a_t - sum_{s<t} q_s b_{t-s}) / b_0,
-    requiring B(x0) != 0.
+    Series division q_t = (a_t - sum_{s<t} q_s b_{t-s}) / b_0, on ints as in
+    ``hermite_interpolant``: with a_t = eA_t / qA, b_t = eB_t / qB
+    (``_shift``) and e = eB_0, q_t = Q_t / (qA e^(t+1)) for
+    Q_t = qB eA_t e^t - sum_{s<t} Q_s eB_{t-s} e^(t-1-s) (residues over GF(p)).
     """
     if count <= 0:
         return []
-    a = taylor_prefix(A, x0, count)
-    b = taylor_prefix(B, x0, count)
-    if not b[0]:
+    field, p = A.field, A.field.p
+    if B.field != field:
+        raise MixedFields(f"{field} vs {B.field}")
+    (a,), b = _ints(field, (field.coerce(x0),))
+    (eA, qA), (eB, qB) = (_shift(*_ints(field, P.coeffs), a, b, count, p) for P in (A, B))
+    e, Q = eB[0], []
+    if not e:
         raise DivisionByZero("denominator vanishes at the expansion point")
-    q: list[Scalar] = []
     for t in range(count):
-        acc = a[t]
-        for s in range(t):
-            acc = acc - q[s] * b[t - s]
-        q.append(acc / b[0])
-    return q
+        acc = qB * eA[t] * e**t - sum(Q[s] * eB[t - s] * e ** (t - 1 - s) for s in range(t))
+        Q.append(acc if p is None else acc % p)
+    return _box(field, [x * e ** (count - 1 - t) for t, x in enumerate(Q)], qA * e**count)

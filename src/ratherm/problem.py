@@ -46,6 +46,7 @@ class HermiteData:
     k: int
     field: FieldConfig
     _master: Optional[ExactMatrix] = dataclasses.field(compare=False, repr=False)
+    _view: Optional[tuple] = dataclasses.field(compare=False, repr=False)
 
     def __init__(self, u, n_vec, v, k: int, field: Optional[FieldConfig] = None):
         n_vec = tuple(int(x) for x in n_vec)
@@ -77,7 +78,7 @@ class HermiteData:
         if not 1 <= k <= n:
             raise InvalidInput(f"k = {k} outside 1..{n}")
         field.require_characteristic(n_vec)
-        for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None)):
+        for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None, None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -91,6 +92,15 @@ class HermiteData:
     @property
     def m(self) -> int:
         return min(self.k - 1, self.n - self.k)
+
+    def _node_ints(self) -> tuple:
+        """Per node the ints (a, b, w, D) of ``_ints``, u_i = a / b and
+        v_i = w / D, computed on first use and cached, like the master."""
+        if self._view is None:
+            nodes = (_ints(self.field, (ui,)) for ui in self.u)
+            view = tuple((a, b, *_ints(self.field, vi)) for ((a,), b), vi in zip(nodes, self.v))
+            object.__setattr__(self, "_view", view)
+        return self._view
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format_scalar
@@ -170,26 +180,30 @@ def master_matrix(data: HermiteData) -> ExactMatrix:
 
     Row (i, j), in block order, holds j-th Taylor coefficients at u_i: of x^l
     in left column l, C(l, j) u_i^(l-j), and of -V x^l in right column
-    n+1+l, the convolution of the left column with v_i.  l runs over 0..n.
-    Built once per instance in int arithmetic and cached on it.  Over Q,
-    with u_i = a/b and D the lcm of the denominators of v_i, the row is
-    over b^n D (left entry C(l, j) a^(l-j) b^(n-l+j) D), then divided by its
-    content; over GF(p) it is computed on residues.
+    n+1+l, V = sum_t v_{i,t} y^t, y = x - u_i; l runs over 0..n.  Built once
+    per instance in ints and cached on it.  With u_i = a/b and v_i = w/D
+    (``_node_ints``), x^l = (a + b y)^l / b^l, so over b^n D column l is
+    b^(n-l) times (a + b y)^l D, left, and -(a + b y)^l W(y), right, W =
+    sum_t w_t y^t, to n_i terms; c_j <- a c_j + b c_(j-1) turns column l-1
+    into column l.  Rows are divided by their content; residues over GF(p).
     """
     if data._master is None:
-        n, p, cols = data.n, data.field.p, range(data.n + 1)
+        n, p = data.n, data.field.p
         nums, dens = [], []
-        for ui, vi in zip(data.u, data.v):
-            (a,), b = _ints(data.field, (ui,))
-            w, D = _ints(data.field, vi)
-            pw = [a**e * b ** (n - e) if p is None else pow(a, e, p) for e in cols]
-            # C(l, j) is zero for j > l, whatever power stands beside it
-            left = [[math.comb(l, j) * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
-            for j, row in enumerate(left):
-                conv = [0] * (n + 1)
-                for t in (t for t in range(j + 1) if w[j - t]):
-                    conv = [x - w[j - t] * y for x, y in zip(conv, left[t])]
-                scaled = [x * D for x in row] + conv
+        for a, b, w, D in data._node_ints():
+            ni = len(w)
+            c, cols = [D] + [0] * (ni - 1) + [-x for x in w], []  # left and right, stacked
+            for l in range(n + 1):
+                s = b ** (n - l)
+                cols.append([x * s for x in c] if s != 1 else c)
+                up = [0] + c[: ni - 1] + [0] + c[ni:-1]
+                if p is None:
+                    c = [a * x + b * y for x, y in zip(c, up)]
+                else:
+                    c = [(a * x + y) % p for x, y in zip(c, up)]
+            rows = list(zip(*cols))
+            for j in range(ni):
+                scaled = rows[j] + rows[ni + j]
                 g = math.gcd(b**n * D, *scaled)  # 1 over GF(p)
                 nums.append([x // g if p is None else x % p for x in scaled])
                 dens.append(b**n * D // g)
@@ -248,31 +262,34 @@ def whip_residual(data: HermiteData, sol: RationalSolution) -> list[Scalar]:
     v_{i,t} = w_t / D, a_j = eA_j / qA and b_j = eB_j / qB (``_shift``), so
     the value is j! (eA_j qB D - qA sum_t w_t eB_{j-t}) / (qA qB D).
     """
-    field, p = data.field, data.field.p
     fact = [math.factorial(j) for j in range(max(data.n_vec))]
-    (PA, cA), (PB, cB) = _ints(field, sol.A.coeffs), _ints(field, sol.B.coeffs)
     out = []
-    for ui, vi in zip(data.u, data.v):
-        (a,), b = _ints(field, (ui,))
-        w, D = _ints(field, vi)
-        eA, qA = _shift(PA, cA, a, b, len(vi), p)
-        eB, qB = _shift(PB, cB, a, b, len(vi), p)
-        for j in range(len(vi)):
-            acc = eA[j] * qB * D - qA * sum(w[t] * eB[j - t] for t in range(j + 1))
-            out.append(_box(field, fact[j] * acc, qA * qB * D))
+    for nums, den, _ in _residuals(data, sol):
+        out += _box(data.field, [f * x for f, x in zip(fact, nums)], den)
     return out
+
+
+def _residuals(data: HermiteData, sol: RationalSolution):
+    """Per node, off two ``_shift`` passes, ``whip_residual``'s numerators without j!
+    (residues over GF(p)), their denominator qA qB D, and B(u_i)'s numerator eB_0."""
+    field, p = data.field, data.field.p
+    (PA, cA), (PB, cB) = _ints(field, sol.A.coeffs), _ints(field, sol.B.coeffs)
+    for a, b, w, D in data._node_ints():
+        (eA, qA), (eB, qB) = _shift(PA, cA, a, b, len(w), p), _shift(PB, cB, a, b, len(w), p)
+        nums = [eA[j] * qB * D - qA * sum(w[t] * eB[j - t] for t in range(j + 1))
+                for j in range(len(w))]
+        yield (nums if p is None else [x % p for x in nums]), qA * qB * D, eB[0]
 
 
 def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
     """0-based node indices where the denominator B0 vanishes; B0 on ints,
     one Horner pass of ``_shift`` per node."""
-    c, d = _ints(data.field, B0.coeffs)
-    nodes = [_ints(data.field, (ui,)) for ui in data.u]
-    return tuple(
-        i for i, ((a,), b) in enumerate(nodes) if not _shift(c, d, a, b, 1, data.field.p)[0][0]
-    )
+    (c, d), p = _ints(data.field, B0.coeffs), data.field.p
+    nodes = data._node_ints()
+    return tuple(i for i, (a, b, _, _) in enumerate(nodes) if not _shift(c, d, a, b, 1, p)[0][0])
 
 
 def rhip_check(data: HermiteData, sol: RationalSolution) -> bool:
-    """True iff the residual vanishes and B(u_i) != 0 at every node."""
-    return not any(whip_residual(data, sol)) and not witness_nodes(data, sol.B)
+    """True iff the residual vanishes and B(u_i) != 0 at every node, both read off
+    one pass of ``_residuals`` and tested for zero on ints, nothing boxed."""
+    return all(bu and not any(nums) for nums, _, bu in _residuals(data, sol))

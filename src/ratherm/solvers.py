@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInconsistency
-from .linalg import _eliminate, _kernel_vector, _minors_and_rank, determinant, signed_minors
-from .polynomial import Poly, _ints, _remainders, evaluate, hermite_interpolant, product_F
+from .linalg import _eliminate, _kernel_vector, _minors_and_rank, determinant
+from .polynomial import Poly, _box, _ints, _remainders, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check, witness_nodes
 
 
@@ -60,12 +60,13 @@ class MinimalSolution:
     kernel_dim: int
 
     @classmethod
-    def from_pair(cls, data: HermiteData, A0: Poly, B0: Poly) -> "MinimalSolution":
-        if A0.is_zero and B0.is_zero:
+    def from_pair(cls, data: HermiteData, A: list, B: list) -> "MinimalSolution":
+        """The pair of int lists (A, B), residues over GF(p), each coefficient
+        boxed once as x / lead, lead that of A (of B when A = 0)."""
+        unit = next((x for P in (A, B) for x in reversed(P) if x), 0)
+        if not unit:
             raise InternalInconsistency("zero pair offered as minimal solution")
-        unit = A0.lead if not A0.is_zero else B0.lead
-        inv = data.field.one / unit
-        A0, B0 = A0 * inv, B0 * inv
+        A0, B0 = (Poly._trimmed(_box(data.field, P, unit), data.field) for P in (A, B))
         dA, dB = A0.degree, B0.degree
         s0 = min(data.k - 1 - dA, data.n - data.k - dB)
         if s0 < 0 or s0 != int(s0):
@@ -112,8 +113,7 @@ def minor_vector(data: HermiteData, t: int) -> tuple:
     """The signed minor vector (Delta_{t,1}, ..., Delta_{t,n+1})."""
     if not 0 <= t <= data.n + 1:
         raise InternalInconsistency(f"minor family index t = {t} outside 0..n+1")
-    raw = signed_minors(build_matrix(data, t - 1, data.n - t))
-    return tuple(-x for x in raw) if t % 2 == 0 else raw
+    return _minors_and_rank(build_matrix(data, t - 1, data.n - t), t % 2 == 0)[0]
 
 
 def diagonal_minor(data: HermiteData, t: int) -> "Scalar":
@@ -144,7 +144,7 @@ def _classify_minimal(data: HermiteData, minsol: MinimalSolution) -> Classificat
                 f"coprime minimal pair fails the original problem on {data!r}"
             )
         return Solvable(sol)
-    if any(evaluate(minsol.A0, data.u[i]) for i in wits):
+    if not set(wits) <= set(witness_nodes(data, minsol.A0)):
         raise InternalInconsistency(
             f"minimal denominator vanishes at a node where A0 does not on {data!r}"
         )
@@ -174,9 +174,7 @@ def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
             f"columns on {data!r}"
         )
     vec = _kernel_vector(M, rows, pivots, last, f)
-    minsol = MinimalSolution.from_pair(
-        data, Poly(vec[:k], data.field), Poly(vec[k:], data.field)
-    )
+    minsol = MinimalSolution.from_pair(data, vec[:k], vec[k:])
     if minsol.kernel_dim != d:
         raise InternalInconsistency(
             f"dimension law broken: s0+1 = {minsol.kernel_dim}, "
@@ -205,8 +203,7 @@ def solve_eea(data: HermiteData) -> Classification:
     F_int, (G_int, L) = _ints(data.field, F.coeffs)[0], _ints(data.field, G.coeffs)
     rows = _remainders(F_int, G_int, data.field.p, True)
     R, T = next((P, T) for P, _, T, _, _ in rows if len(P) <= data.k)
-    pair = Poly(R, data.field), Poly([L * c for c in T], data.field)
-    return _classify_minimal(data, MinimalSolution.from_pair(data, *pair))
+    return _classify_minimal(data, MinimalSolution.from_pair(data, R, [L * c for c in T]))
 
 
 def upper_certificate(data: HermiteData, j: int, up: tuple) -> "Scalar":
@@ -243,8 +240,7 @@ def find_defect(data: HermiteData):
     vanishes.
     """
     k, n = data.k, data.n
-    main, r = _minors_and_rank(build_matrix(data, k - 1, n - k))
-    main = tuple(-x for x in main) if k % 2 == 0 else main  # minor_vector's sign
+    main, r = _minors_and_rank(build_matrix(data, k - 1, n - k), k % 2 == 0)
     for j in range(n + 1 - r, n - k + 2):
         if j <= data.m + 1:
             low = main if j == 1 else minor_vector(data, k - j + 1)
@@ -281,12 +277,12 @@ def chart_pair(data: HermiteData, j: int, upper: bool, mv: tuple) -> tuple[Poly,
     # the upper chart's Delta_{k+j,k+j} equals this vector's last entry up
     # to a sign, so nonvanishing may be read off without a second matrix.
     cert = mv[n] if upper else mv[k - j]
-    A = Poly(mv[: max(k - j + 1, 0)], data.field)
+    A = Poly._trimmed(list(mv[: max(k - j + 1, 0)]), data.field)
     if upper:
-        B = Poly(mv[k + j - 1 :], data.field)
+        B = Poly._trimmed(list(mv[k + j - 1 :]), data.field)
         dead = mv[max(k - j + 1, 0) : k + j - 1]
     else:
-        B = Poly(mv[k - j + 1 : n - 2 * j + 3], data.field)
+        B = Poly._trimmed(list(mv[k - j + 1 : n - 2 * j + 3]), data.field)
         dead = mv[n - 2 * j + 3 :]
     if cert and any(dead):
         raise InternalInconsistency(
@@ -308,7 +304,9 @@ def solve_minors(data: HermiteData) -> tuple[MinimalSolution, Classification]:
         raise InternalInconsistency(
             f"certified chart produced the zero pair on {data!r}"
         )
-    minsol = MinimalSolution.from_pair(data, A, B)
+    # the slices' denominators cleared jointly, so the pair keeps its ratio
+    ints, a = _ints(data.field, A.coeffs + B.coeffs)[0], len(A.coeffs)
+    minsol = MinimalSolution.from_pair(data, ints[:a], ints[a:])
     if minsol.kernel_dim != j:
         raise InternalInconsistency(
             f"chart defect {j} disagrees with degree count {minsol.kernel_dim}"

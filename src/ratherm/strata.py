@@ -86,7 +86,7 @@ def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
             break
         # cc = c_{i-1} c_i = c_{i-2} c_{i-1} g_i / s_i, never the large c_i alone
         d, cc = len(P) - 1, cc * Fraction(g, s)
-        sigma *= _box(field, cc.numerator * P0[-1] * P[-1], cc.denominator) ** (degs[-1] - d)
+        sigma *= _box(field, [cc.numerator * P0[-1] * P[-1]], cc.denominator)[0] ** (degs[-1] - d)
         psc[d] = (-1) ** sum((a - d) * (b - d) for a, b in zip(degs, degs[1:])) * sigma  # tau_i
         P0, degs = P, degs + [d]
     pairs = list(zip(data.u, data.n_vec))

@@ -25,6 +25,12 @@ are plain loops on field scalars (``Fraction`` or ``PrimeFieldElement``),
 the references the int kernels of the package are compared against.
 ``divmod_ref`` is the one polynomial division of the tests: ``Poly`` has
 none, and ``gcd_ref`` and ``eea_ref`` run on it.
+
+``master_matrix_ref`` (binomials and a convolution with v_i),
+``rational_taylor_ref`` (the series division on field scalars),
+``rhip_check_ref`` (the residual, then the node test, on field scalars) and
+``from_pair_ref`` (the pair normalized by ``Poly`` arithmetic) are the
+routines the int view, the one-pass check and the box-once pair replaced.
 """
 
 import math
@@ -47,6 +53,7 @@ from ratherm import (
 )
 from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch
 from ratherm.field import RATIONALS
+from ratherm.polynomial import _ints
 from ratherm.solvers import _classify_minimal, find_defect, upper_certificate
 from ratherm.strata import StratumReport, _chart_label, _denominator_root_nodes
 
@@ -124,7 +131,7 @@ def solve_kernel_ref(data: HermiteData):
     if len(basis) != 1:
         raise InternalInconsistency(f"shrunken kernel at defect {d} has {len(basis)} vectors")
     vec = basis[0]
-    minsol = MinimalSolution.from_pair(
+    minsol = from_pair_ref(
         data, Poly(vec[: alpha + 1], data.field), Poly(vec[alpha + 1 :], data.field)
     )
     if minsol.kernel_dim != d:
@@ -348,3 +355,61 @@ def hermite_interpolant_ref(data: HermiteData) -> Poly:
     for b in range(n - 2, -1, -1):
         c = [lo - z[b] * hi for lo, hi in zip([dd[0][b]] + c, c + [field.zero])]
     return Poly(c, field)
+
+
+def master_matrix_ref(data: HermiteData) -> ExactMatrix:
+    """The master matrix from binomials and a convolution: row (i, j) over
+    b^n D holds C(l, j) a^(l-j) b^(n-l+j) D in left column l and the
+    convolution of the left entries with -w in right column l, divided by
+    its content (residues over GF(p))."""
+    n, p, cols = data.n, data.field.p, range(data.n + 1)
+    nums, dens = [], []
+    for ui, vi in zip(data.u, data.v):
+        (a,), b = _ints(data.field, (ui,))
+        w, D = _ints(data.field, vi)
+        pw = [a**e * b ** (n - e) if p is None else pow(a, e, p) for e in cols]
+        left = [[math.comb(l, j) * pw[max(l - j, 0)] for l in cols] for j in range(len(vi))]
+        for j, row in enumerate(left):
+            conv = [0] * (n + 1)
+            for t in (t for t in range(j + 1) if w[j - t]):
+                conv = [x - w[j - t] * y for x, y in zip(conv, left[t])]
+            scaled = [x * D for x in row] + conv
+            g = math.gcd(b**n * D, *scaled)
+            nums.append([x // g if p is None else x % p for x in scaled])
+            dens.append(b**n * D // g)
+    return ExactMatrix.from_ints(nums, dens, 2 * n + 2, data.field)
+
+
+def rational_taylor_ref(A: Poly, B: Poly, x0, count: int) -> list:
+    """Taylor coefficients of A/B at x0 by power-series division on field
+    scalars, q_t = (a_t - sum_{s<t} q_s b_{t-s}) / b_0."""
+    a, b = taylor_prefix_ref(A, x0, count), taylor_prefix_ref(B, x0, count)
+    if count and not b[0]:
+        raise DivisionByZero("denominator vanishes at the expansion point")
+    q = []
+    for t in range(count):
+        acc = a[t]
+        for s in range(t):
+            acc = acc - q[s] * b[t - s]
+        q.append(acc / b[0])
+    return q
+
+
+def rhip_check_ref(data: HermiteData, sol) -> bool:
+    """The check as two passes: the boxed residual vanishes, then B has no
+    node root; both on field scalars, so no int kernel is shared."""
+    return not any(whip_residual_ref(data, sol)) and all(evaluate_ref(sol.B, u) for u in data.u)
+
+
+def from_pair_ref(data: HermiteData, A0: Poly, B0: Poly) -> MinimalSolution:
+    """The minimal solution of a pair of polynomials, scaled by ``Poly``
+    arithmetic so A0 is monic (B0 when A0 = 0)."""
+    if A0.is_zero and B0.is_zero:
+        raise InternalInconsistency("zero pair offered as minimal solution")
+    inv = data.field.one / (A0.lead if not A0.is_zero else B0.lead)
+    A0, B0 = A0 * inv, B0 * inv
+    dA, dB = A0.degree, B0.degree
+    s0 = min(data.k - 1 - dA, data.n - data.k - dB)
+    if s0 < 0 or s0 != int(s0):
+        raise InternalInconsistency(f"minimal pair degrees ({dA}, {dB}) break the bounds")
+    return MinimalSolution(A0, B0, dA, dB, int(s0), int(s0) + 1)

@@ -1,15 +1,18 @@
 """Elimination budgets: each route and classifier eliminates every distinct
 matrix it needs once, ``find_defect`` at most three, ``solve_kernel`` one,
 ``classify_by_rank`` two below defect m+2 plus at most two tail ranks, and
-``eea-trace`` runs one Euclid for its table.
+``eea-trace`` runs one Euclid for its table.  Work pins: the node int view
+is computed once per instance, ``rhip_check`` is one pass of two Taylor
+shifts per node, and a parsed GF(p) document is solved and classified
+without one checked ``PrimeFieldElement`` construction.
 
 ``_count_eliminations`` wraps ``linalg._eliminate`` in ``linalg`` and in
 every ratherm module that binds it, so each elimination is seen, behind
 the public wrappers or not.  The other counters wrap ``rank`` and
 ``diagonal_minor`` where ``strata`` imports them, ``_remainders`` in
 ``polynomial``, and ``_minors_and_rank`` both in ``linalg``, behind
-``signed_minors``, and where ``solvers`` imports it for ``find_defect``'s
-read of the main matrix.
+``signed_minors``, and where ``solvers`` imports it for ``minor_vector`` and
+``find_defect``'s read of the main matrix.
 """
 
 import json
@@ -22,11 +25,13 @@ from ratherm import (
     FieldConfig,
     HermiteData,
     Poly,
+    PrimeFieldElement,
     classify_by_rank,
     linalg,
     polynomial,
     problem,
     sample_stratum,
+    solve_eea,
     solve_kernel,
     solve_minors,
     solvers,
@@ -55,19 +60,24 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _spy_everywhere(monkeypatch, module, name, record=lambda *args: args):
+    """Every call of ``module.name``, as ``record`` of its arguments, in
+    every ratherm module that binds that function."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapped(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ratherm" and getattr(mod, name, None) is inner:
+            monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
 def _count_eliminations(monkeypatch):
     """Every ``_eliminate`` call, as the (rows, columns, stop) it ran on."""
-    calls = []
-    inner = linalg._eliminate
-
-    def wrapped(M, stop=None):
-        calls.append((M.r, M.c, stop))
-        return inner(M, stop)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ratherm" and getattr(module, "_eliminate", None) is inner:
-            monkeypatch.setattr(module, "_eliminate", wrapped)
-    return calls
+    return _spy_everywhere(monkeypatch, linalg, "_eliminate", lambda M, stop=None: (M.r, M.c, stop))
 
 
 def _count_minor_vectors(monkeypatch):
@@ -225,3 +235,64 @@ def test_eea_trace_runs_two_remainder_sequences(monkeypatch, generic, tmp_path, 
         capsys.readouterr()
         assert len(calls) == 2
     assert not any(hasattr(Poly, name) for name in ("__divmod__", "__floordiv__", "__mod__"))
+
+
+def test_node_int_view_is_computed_once_per_instance(monkeypatch, generic):
+    """Every route, classifier and check reads u_i = a/b and v_i = w/D off
+    one cached view: ``_ints`` meets each node and each value group once."""
+    calls = _spy_everywhere(monkeypatch, polynomial, "_ints")
+    draws = _draws((((3, 3, 2), 4, 3),), 90)
+    for d in generic + draws + ZERO_NUMERATOR:
+        d = HermiteData(d.u, d.n_vec, d.v, d.k, d.field)  # nothing cached yet
+        calls.clear()
+        for run in (solve_kernel, solve_eea, solve_minors, classify_by_rank, stratum_equations,
+                    diagonal_window):
+            run(d)
+        assert d._node_ints() is d._node_ints()
+        values = [a for a in calls if any(a[1] is vi for vi in d.v)]
+        nodes = [a for a in calls if len(a[1]) == 1 and any(a[1][0] is ui for ui in d.u)]
+        assert len(values) == len(nodes) == d.l
+
+
+def test_rhip_check_is_one_pass_of_two_shifts_per_node(monkeypatch, generic):
+    """The residual and B(u_i) come off the same two Taylor shifts of A and
+    B per node; the node test takes no pass of its own."""
+    shifts = _count(monkeypatch, problem, "_shift")
+    nodes = _count(monkeypatch, problem, "witness_nodes")
+    checked = 0
+    for d in generic + _draws((((3, 3, 2), 4, 3),), 95):
+        _, cls = solve_kernel(d)
+        if not cls.solvable:
+            continue
+        shifts.clear()
+        nodes.clear()
+        assert problem.rhip_check(d, cls.sol)
+        assert len(shifts) == 2 * d.l and nodes == []
+        checked += 1
+    assert checked >= 5
+
+
+def test_parsed_prime_field_document_builds_no_checked_residue(monkeypatch, tmp_path, capsys):
+    """Residues come from a certified modulus, the document's, so solving
+    and classifying a GF(p) document never runs the checked constructor."""
+    checked = []
+    inner = PrimeFieldElement.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        inner(self)
+
+    monkeypatch.setattr(PrimeFieldElement, "__post_init__", counted)
+    PrimeFieldElement(3, 5)
+    assert len(checked) == 1
+    checked.clear()
+    gf = FieldConfig.prime(1000003)
+    docs = [random_data(random.Random(1), (4, 4, 4), 6, gf),
+            sample_stratum((3, 3, 2), 4, 2, True, 7, gf)]
+    for d in docs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(d.to_json_dict()))
+        for argv in (["solve", "--method", "all"], ["classify"], ["minors"], ["eea-trace"]):
+            main(argv + ["--input", str(path)])
+            capsys.readouterr()
+    assert checked == []

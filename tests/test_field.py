@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratherm import (
@@ -16,7 +16,7 @@ from ratherm import (
     PrimeFieldElement,
     infer_field,
 )
-from ratherm.field import is_prime
+from ratherm.field import MAX_DIGITS, _check_digits, is_prime, parse_json_int
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -168,3 +168,94 @@ def test_parse_scalar_rejects_bools():
         GF13.parse_scalar({"residue": "x", "p": 13})
     with pytest.raises(InvalidInput):
         GF13.parse_scalar({"residue": True, "p": 13})
+
+
+# ------------------------------------------------- fast paths of the scalars
+
+
+def _verdict(parse, text):
+    try:
+        return parse(text)
+    except InvalidInput:
+        return InvalidInput
+
+
+def _parse_scalar_ref(text):
+    """Every literal's digits counted, then ``Fraction``."""
+    _check_digits(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(text) from exc
+
+
+def _int_ref(text):
+    _check_digits(text)
+    return int(text)
+
+
+@st.composite
+def literals(draw):
+    """Literal texts about MAX_DIGITS +- 2 characters long, or short: signs,
+    underscores, surrounding whitespace, decimals, exponents and slashes,
+    some malformed."""
+    size = draw(st.integers(0, 6) | st.integers(MAX_DIGITS - 5, MAX_DIGITS + 2))
+
+    def run(length):
+        unit = draw(st.sampled_from(["1", "0", "9", "12", "1_2", "_", "00", "7e"]))
+        return (unit * (length // len(unit) + 1))[:length]
+
+    cut = draw(st.integers(0, size))
+    form = draw(st.sampled_from(["", ".", "/", "e", "E", "e-", "E+", ".e", "+", " "]))
+    if form == ".e":
+        body = run(cut // 2) + "." + run(cut - cut // 2) + "e" + draw(st.sampled_from(["5", "-5", "4300"]))
+    else:
+        body = run(cut) + form + run(size - cut)
+    pad = draw(st.sampled_from(["", " ", "\t", " \n"]))
+    return pad + draw(st.sampled_from(["", "-", "+", "--"])) + body + pad
+
+
+@settings(max_examples=400, deadline=None)
+@given(literals() | st.text("0123456789_+-. eE/", max_size=12))
+@example("1" * MAX_DIGITS)
+@example("1" * (MAX_DIGITS + 1))
+@example("1." + "5" * (MAX_DIGITS - 2))
+@example("1." + "5" * (MAX_DIGITS - 1))
+@example("1/" + "3" * (MAX_DIGITS - 2))
+@example(f"1e{MAX_DIGITS - 1}")
+@example(f"1E{MAX_DIGITS}")
+def test_literal_fast_path_accepts_what_the_digit_count_accepts(text):
+    """``parse_scalar`` counts digits only on long or exponent literals;
+    it accepts and rejects exactly what the full count plus ``Fraction``
+    do, with the same value."""
+    assert _verdict(RAT.parse_scalar, text) == _verdict(_parse_scalar_ref, text)
+
+
+@given(st.integers(MAX_DIGITS - 3, MAX_DIGITS + 2), st.sampled_from(["", "-"]), st.sampled_from("1937"))
+def test_json_int_fast_path_matches_the_digit_count(size, sign, digit):
+    text = sign + digit * size
+    assert _verdict(parse_json_int, text) == _verdict(_int_ref, text)
+
+
+@given(st.sampled_from([2, 5, 7, 13, 1000003]), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_residues_from_arithmetic_equal_constructed_ones(p, x, y):
+    """Arithmetic, ``from_int`` and parsing build residues unchecked; each
+    equals ``PrimeFieldElement(r, p)`` in residue, p, == and hash."""
+    field, a, b = FieldConfig.prime(p), PrimeFieldElement(x, p), PrimeFieldElement(y, p)
+    built = [a + b, a - b, a * b, -a, a**3, 3 + a, 3 - a, a * 3, field.from_int(x),
+             field.parse_scalar(x), field.parse_scalar({"residue": x, "p": p})]
+    if b:
+        built += [a / b, b.inverse(), a**-2 if a else a]
+    for got in built:
+        want = PrimeFieldElement(got.residue, p)
+        assert (got.residue, got.p) == (want.residue, want.p) and 0 <= got.residue < p
+        assert got == want and hash(got) == hash(want)
+    assert a + b == PrimeFieldElement(x + y, p) and a * b == PrimeFieldElement(x * y, p)
+
+
+def test_the_public_constructors_still_certify_the_modulus():
+    with pytest.raises(InvalidInput):
+        PrimeFieldElement(3, 8)
+    for m in (1, 4, -7, 8):
+        with pytest.raises(InvalidInput):
+            FieldConfig.prime(m)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import (
     eea_ref,
     evaluate_ref,
+    from_pair_ref,
     gcd_ref,
     hermite_interpolant_ref,
     taylor_prefix_ref,
@@ -42,7 +43,7 @@ from ratherm import (
 )
 from ratherm.polynomial import _eea_table, _ints, _pseudo_step, _remainders
 from ratherm.problem import RationalSolution, witness_nodes
-from ratherm.solvers import MinimalSolution, _classify_minimal
+from ratherm.solvers import _classify_minimal
 
 RAT = FieldConfig.rationals()
 FIELDS = [RAT, FieldConfig.prime(5), FieldConfig.prime(7), FieldConfig.prime(1000003)]
@@ -232,7 +233,7 @@ def test_eea_route_matches_eea_table_cut_on_golden_documents():
         else:
             cut = next(row for row in eea_ref(F, G) if row.remainder.degree < data.k)
             R, T = cut.remainder, cut.bezout_t
-        assert solve_eea(data) == _classify_minimal(data, MinimalSolution.from_pair(data, R, T))
+        assert solve_eea(data) == _classify_minimal(data, from_pair_ref(data, R, T))
 
 
 def nonzero_polys(field, min_degree=0, max_degree=6):

@@ -47,6 +47,7 @@ from oracles import (
     divmod_ref,
     eea_ref,
     find_defect_ref,
+    from_pair_ref,
     solve_kernel_ref,
 )
 from test_golden_cli import _low_entropy_documents
@@ -407,8 +408,7 @@ def test_free_columns_of_the_main_matrix_are_a_run_from_deg_B0():
         start = k + minsol.dB
         assert [c for c in range(n + 1) if c not in pivots] == list(range(start, start + minsol.kernel_dim))
         vec = _kernel_vector(M, rows, pivots, last, start)
-        A, B = Poly(vec[:k], d.field), Poly(vec[k:], d.field)
-        assert MinimalSolution.from_pair(d, A, B) == minsol
+        assert MinimalSolution.from_pair(d, vec[:k], vec[k:]) == minsol
         beyond += minsol.kernel_dim > d.m + 1
     assert beyond == 3 * len(DEGENERATE)
 
@@ -439,18 +439,17 @@ def test_rank_classifier_matches_per_node_rank_reference():
 
 
 def test_from_pair_normalization(golden):
-    ms = MinimalSolution.from_pair(
-        golden, Poly((4, -2), RAT), Poly((4, -2), RAT)
-    )
+    ms = MinimalSolution.from_pair(golden, [4, -2, 0], [4, -2])
     assert ms.A0 == Poly((-2, 1), RAT)
     assert ms.B0 == Poly((-2, 1), RAT)
+    assert ms == from_pair_ref(golden, Poly((4, -2), RAT), Poly((4, -2), RAT))
 
 
 def test_from_pair_guards(golden):
     with pytest.raises(InternalInconsistency):
-        MinimalSolution.from_pair(golden, Poly.zero(RAT), Poly.zero(RAT))
+        MinimalSolution.from_pair(golden, [], [0, 0])
     with pytest.raises(InternalInconsistency):
-        MinimalSolution.from_pair(golden, Poly((0, 0, 1), RAT), Poly.one(RAT))
+        MinimalSolution.from_pair(golden, [0, 0, 1], [1])
 
 
 def test_witness_nodes_helper(golden):
@@ -583,5 +582,5 @@ def test_int_euclid_matches_fraction_table(case):
         else:
             row = next(r for r in rows if r.remainder.degree <= k - 1)
             R, T = row.remainder, row.bezout_t
-        expected = _classify_minimal(d, MinimalSolution.from_pair(d, R, T))
+        expected = _classify_minimal(d, from_pair_ref(d, R, T))
         assert solve_eea(d) == expected
