@@ -77,7 +77,6 @@ from .strata import (
 )
 from .verify import (
     IdentitySpec,
-    brute_force_kernel,
     check_identity,
     paper_identity_catalog,
     sample_stratum,
@@ -90,7 +89,6 @@ __all__ = [
     "FieldConfig",
     "HermiteData",
     "TooLarge",
-    "brute_force_kernel",
     "check_identity",
     "classify_by_rank",
     "diagonal_minor",

@@ -42,7 +42,7 @@ class ZeroInput(RathermError, ValueError):
 
 
 class TooLarge(RathermError, ValueError):
-    """Input exceeds a size cap (MAX_N, MAX_SAMPLES, MAX_BRUTE_COLS)."""
+    """Input exceeds a size cap (MAX_N, MAX_SAMPLES)."""
 
 
 class InfeasibleRequest(RathermError, ValueError):

@@ -9,7 +9,7 @@ Also here: gcd and the Extended Euclidean table with full row history (the
 remaindering), the node product polynomial, and Taylor coefficients of a
 rational function (power-series division, no symbolic quotient rule).
 
-``Poly`` arithmetic (``+``, ``-``, ``*``, ``**``, ``monic``; there is no
+``Poly`` arithmetic (``+``, ``-``, ``*``, ``**``; there is no
 polynomial division) runs on field scalars.  ``evaluate``,
 ``taylor_prefix`` (a Taylor shift at an int node), ``rational_taylor``,
 ``hermite_interpolant``, ``product_F`` and ``_remainders`` (the one
@@ -173,11 +173,6 @@ class Poly:
 
     def __call__(self, x0) -> Scalar:
         return evaluate(self, x0)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self * (self.field.one / self.lead)
 
     def to_json(self):
         return [self.field.format_scalar(c) for c in self.coeffs]

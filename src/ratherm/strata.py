@@ -4,7 +4,7 @@ The unattainable set decomposes by defect j into strata of odd codimension
 2j-1, each a union of per-node components.  This module re-derives that
 picture two independent ways: ``classify_by_rank`` reads the defect off one
 rank of the main matrix, and the witnesses and chart certificates off one
-elimination stopped after the defect-shrunken matrix, and
+elimination stopped after the defect-shrunken matrix, at every defect, and
 ``stratum_equations`` evaluates the closed-form chart polynomials, sliced
 from minor vectors, whose zero sets cut the strata out, reading witnesses
 with the solvers' node test.  Both emit a
@@ -31,7 +31,7 @@ from .field import Scalar
 from .linalg import ExactMatrix, _eliminate, rank
 from .polynomial import _box, _ints, _remainders, hermite_interpolant, product_F
 from .problem import HermiteData, _family_columns, build_matrix, master_matrix, witness_nodes
-from .solvers import chart_pair, diagonal_minor, find_defect, minor_vector, upper_certificate
+from .solvers import chart_pair, find_defect, minor_vector, upper_certificate
 
 
 @dataclass(frozen=True)
@@ -104,48 +104,34 @@ def _chart_label(cert_low: Scalar, cert_up: Scalar) -> str:
     raise InternalInconsistency("both chart certificates vanish at the defect")
 
 
-def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[int]:
-    """Rank test for ``B(u_i) = 0`` across the whole kernel of M, of rank r.
-
-    Appending the evaluation functional B |-> B(u_i) as an extra row leaves
-    the rank unchanged exactly when every kernel element already satisfies
-    it, i.e. when the minimal denominator vanishes at node i.  The master
-    row of (u_i, order 0) carries the powers u_i^l in its left columns; it
-    joins M's int rows with its own denominator.
-    """
-    master, roots = master_matrix(data), []
-    for i in range(data.l):
-        at = sum(data.n_vec[:i])
-        row = [0] * data.k + master.nums[at][: data.n - data.k + 1]
-        ext = ExactMatrix.from_ints(M.nums + [row], M.dens + [master.dens[at]], M.c, data.field)
-        if rank(ext) == r:
-            roots.append(i)
-    return roots
-
-
 def _shrunken_verdict(data: HermiteData, d: int) -> tuple[tuple[int, ...], bool, bool]:
     """Witnesses and the nonvanishing of both chart certificates at defect
-    d <= m+1, off one elimination stopped after the d-shrunken matrix.
+    d, off one elimination stopped after the d-shrunken matrix.
 
-    C, the (k-1-d, n-k-d) matrix, has full column rank c = n-2d+1.  Its
-    columns come first, then the right columns n-k-d+1 .. n-k+d-1 and the
-    left columns k-d .. k+d-2 that complete it to the square matrices of
-    Delta_{k-d+1,k-d+1} and Delta_{k+d,k+d}, then one unit column e_r per
-    node, r the last row of its block.  Past C's c pivots, 2d-1 rows remain,
-    each a nonzero multiple of a row of the Schur complement of C.
-    Deleting row r drops the rank of C exactly when e_r lies in C's column
-    space, that is when its column vanishes on those rows.  A certificate is
-    nonzero exactly when its (2d-1)-square block there has full rank
-    (Sylvester's identity; Bareiss 1968).
+    C, the (lo-1, n-k-d) matrix with lo = max(k-d, 0), has full column rank
+    c = lo + n-k-d+1: the main kernel is the multiples of the minimal pair
+    (A0, B0), and deg A0 = k-d or deg B0 = n-k-d+1.  Its columns come
+    first, then, when d <= k, the right columns n-k-d+1 .. n-k+d-1
+    completing it to the square matrix of Delta_{k-d+1,k-d+1}, then the
+    left columns lo .. k+d-2 completing it to that of Delta_{k+d,k+d}, then
+    one unit column e_r per node, r the last row of its block.  Past C's c
+    pivots, w = n-c rows remain, each a nonzero multiple of a row of the
+    Schur complement of C.  B0(u_i) = 0 exactly when (A0, B0) / (x - u_i),
+    of C's degrees, meets every condition but row r of node i, that is when
+    deleting row r drops the rank of C, that is when e_r lies in C's column
+    space and its column vanishes on those rows.  A certificate is nonzero
+    exactly when its w-square block there has full rank (Sylvester's
+    identity; Bareiss 1968).  Up to m+1, d <= k and w = 2d-1; above m+1,
+    d > k, A0 = 0, C has right columns only, w = k+d-1, and there is no
+    lower chart.
     """
     k, n, field = data.k, data.n, data.field
-    master, w, c = master_matrix(data), 2 * d - 1, n - 2 * d + 1
-    cols = (
-        _family_columns(data, k - 1 - d, n - k - d)
-        + list(range(2 * n + 2 - k - d, 2 * n + 1 - k + d))
-        + list(range(k - d, k + d - 1))
-    )
-    ends = list(itertools.accumulate(data.n_vec))
+    lo = max(k - d, 0)
+    c = lo + n - k - d + 1
+    w = n - c
+    lower = list(range(2 * n + 2 - k - d, 2 * n + 1 - k + d)) if d <= k else []
+    cols = _family_columns(data, lo - 1, n - k - d) + lower + list(range(lo, k + d - 1))
+    master, ends = master_matrix(data), list(itertools.accumulate(data.n_vec))
     nums = [
         [row[j] for j in cols] + [den if r == e - 1 else 0 for e in ends]
         for r, (row, den) in enumerate(zip(master.nums, master.dens))
@@ -162,39 +148,31 @@ def _shrunken_verdict(data: HermiteData, d: int) -> tuple[tuple[int, ...], bool,
         block = [row[at : at + w] for row in tail]
         return rank(ExactMatrix.from_ints(block, [1] * w, w, field)) == w
 
-    witnesses = tuple(i for i in range(data.l) if not any(row[2 * w + i] for row in tail))
-    return witnesses, full_rank(0), full_rank(w)
+    units = len(cols) - c
+    witnesses = tuple(i for i in range(data.l) if not any(row[units + i] for row in tail))
+    return witnesses, bool(lower) and full_rank(0), full_rank(len(lower))
 
 
 def classify_by_rank(data: HermiteData) -> StratumReport:
-    """Rank-only classifier.
+    """Rank-only classifier: one rank of the main matrix, one stopped
+    elimination, and at most two tail ranks, at every defect.
 
     The defect is the kernel dimension of the main (k-1, n-k) matrix,
-    (n+1) - rank, in every regime.  Shrinking both degree bounds by j drops
-    columns, so the j-shrunken matrix is a column subset of the
-    (j-1)-shrunken one: full column rank is monotone in j, and it holds
-    exactly for j >= defect, so the one main rank already decides the
-    kernel of every shrunken matrix.
+    (n+1) - rank.  Shrinking both degree bounds by j drops columns, so the
+    j-shrunken matrix is a column subset of the (j-1)-shrunken one: full
+    column rank is monotone in j, and it holds exactly for j >= defect, so
+    the one main rank already decides the kernel of every shrunken matrix.
 
-    For defect <= m+1 the data is unattainable through node i exactly when
-    deleting the last row of node i's block drops the rank of the
-    defect-shrunken matrix, and one stopped elimination decides that for
-    every node and both chart certificates (``_shrunken_verdict``).  Data
-    forcing a zero minimal numerator has defect above m+1, beyond the reach
-    of the shrunken matrices; witnesses there come from appending the
-    per-node evaluation functional to the main matrix and checking that the
-    rank does not move, and the certificates are determinants.
+    The data is unattainable through node i exactly when the minimal
+    denominator vanishes at u_i, that is when deleting the last row of node
+    i's block drops the rank of the defect-shrunken matrix; one elimination
+    stopped after that matrix decides it for every node, and both chart
+    certificates (``_shrunken_verdict``).  Above m+1, where the minimal
+    numerator is zero, the lower chart does not exist.
     """
-    k, n, m = data.k, data.n, data.m
-    main = build_matrix(data, k - 1, n - k)
-    main_rank = rank(main)
-    defect = (n + 1) - main_rank
-    if defect <= m + 1:
-        witnesses, cert_low, cert_up = _shrunken_verdict(data, defect)
-    else:
-        witnesses = tuple(_denominator_root_nodes(data, main, main_rank))
-        cert_low = diagonal_minor(data, k - defect + 1) if k >= defect else data.field.zero
-        cert_up = diagonal_minor(data, k + defect)
+    k, n = data.k, data.n
+    defect = (n + 1) - rank(build_matrix(data, k - 1, n - k))
+    witnesses, cert_low, cert_up = _shrunken_verdict(data, defect)
     return StratumReport(
         defect=defect,
         chart=_chart_label(cert_low, cert_up),

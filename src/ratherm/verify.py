@@ -1,4 +1,4 @@
-"""Randomized exact identity testing, brute-force oracles, and samplers.
+"""Randomized exact identity testing and the stratum sampler.
 
 Every check here is exact: a catalog identity is evaluated at random
 small-height rational points and any mismatch is a hard failure carrying
@@ -6,10 +6,9 @@ the witness point.  A wrong polynomial identity survives such a trial only
 on its own zero set, which is measure-tiny against the sampling pool, so a
 zero-failure run over a hundred points is decisive in aggregate.
 
-The module also hosts the deliberately-naive kernel oracle, an independent
-null-space check for small matrices, and the stratum sampler that
-manufactures instances with a prescribed defect, optionally forced to be
-unattainable through a chosen node.
+The module also hosts the stratum sampler that manufactures instances with
+a prescribed defect, optionally forced to be unattainable through a chosen
+node.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ from .errors import (
     TooLarge,
 )
 from .field import RATIONALS, FieldConfig, Scalar
-from .linalg import ExactMatrix
 from .polynomial import Poly, evaluate, gcd, rational_taylor
 from .problem import MAX_N, HermiteData, RationalSolution, whip_residual
 from .solvers import diagonal_minor, minor_vector, solve_kernel, solve_minors
 
-MAX_BRUTE_COLS = 8
 # Largest accepted sample_count per identity.
 MAX_SAMPLES = 10_000
 _POOL_NUM = 50
@@ -265,46 +262,6 @@ def paper_identity_catalog() -> tuple[IdentitySpec, ...]:
             seed=108,
         ),
     )
-
-
-def brute_force_kernel(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
-    """Kernel basis by plain Gauss-Jordan, pivoting bottom-up.
-
-    Deliberately different from the production path (fraction-free, top-down
-    on plain ints): it divides boxed scalars, pivots are searched from the
-    last row upward and the output vectors are not normalized.  Spans must
-    agree with kernel_basis.
-    """
-    if M.c > MAX_BRUTE_COLS:
-        raise TooLarge(f"brute-force kernel capped at {MAX_BRUTE_COLS} columns")
-    rows = [list(M.row(r)) for r in range(M.r)]
-    pivot_of: dict[int, int] = {}
-    used: set[int] = set()
-    for c in range(M.c):
-        pr = None
-        for r in range(M.r - 1, -1, -1):
-            if r not in used and rows[r][c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        used.add(pr)
-        pivot_of[c] = pr
-        piv = rows[pr][c]
-        for r in range(M.r):
-            if r != pr and rows[r][c]:
-                factor = rows[r][c] / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
-    basis = []
-    for f in range(M.c):
-        if f in pivot_of:
-            continue
-        vec = [M.field.zero] * M.c
-        vec[f] = M.field.one
-        for c, pr in pivot_of.items():
-            vec[c] = -(rows[pr][f] / rows[pr][c])
-        basis.append(tuple(vec))
-    return basis
 
 
 def _random_poly(

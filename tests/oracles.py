@@ -15,7 +15,10 @@ main matrix's nullity returns the same values; ``defect_certificates`` is
 ``solve_kernel_ref`` is the kernel route on the shrunken matrix and
 ``classify_by_rank_ref`` the rank classifier on per-node ranks and
 determinant certificates, the routines the one-elimination versions
-replaced.  ``eliminate_ref`` is
+replaced; above m+1 its per-node ranks are those of the main matrix with a
+node's evaluation row appended (``_denominator_root_nodes``).
+``brute_force_kernel`` is a plain Gauss-Jordan null-space oracle for
+matrices of at most ``MAX_BRUTE_COLS`` columns.  ``eliminate_ref`` is
 the eager Bareiss loop (every row below the pivot updated and divided by the
 previous pivot), the reference for the lazily scaled ``_eliminate``.
 
@@ -24,7 +27,8 @@ previous pivot), the reference for the lazily scaled ``_eliminate``.
 are plain loops on field scalars (``Fraction`` or ``PrimeFieldElement``),
 the references the int kernels of the package are compared against.
 ``divmod_ref`` is the one polynomial division of the tests: ``Poly`` has
-none, and ``gcd_ref`` and ``eea_ref`` run on it.
+none, and ``gcd_ref`` and ``eea_ref`` run on it; ``monic_ref`` is the one
+normalization, by the inverse leading coefficient.
 
 ``master_matrix_ref`` (binomials and a convolution with v_i),
 ``rational_taylor_ref`` (the series division on field scalars),
@@ -51,11 +55,14 @@ from ratherm import (
     paper_identity_catalog,
     rank,
 )
-from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch
+from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch, TooLarge
 from ratherm.field import RATIONALS
 from ratherm.polynomial import _ints
 from ratherm.solvers import _classify_minimal, find_defect, upper_certificate
-from ratherm.strata import StratumReport, _chart_label, _denominator_root_nodes
+from ratherm.problem import master_matrix
+from ratherm.strata import StratumReport, _chart_label
+
+MAX_BRUTE_COLS = 8
 
 
 def b1_closed_form_check(data: HermiteData) -> bool:
@@ -139,11 +146,32 @@ def solve_kernel_ref(data: HermiteData):
     return minsol, _classify_minimal(data, minsol)
 
 
+def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[int]:
+    """Rank test for ``B(u_i) = 0`` across the whole kernel of M, of rank r.
+
+    Appending the evaluation functional B |-> B(u_i) as an extra row leaves
+    the rank unchanged exactly when every kernel element already satisfies
+    it, i.e. when the minimal denominator vanishes at node i.  The master
+    row of (u_i, order 0) carries the powers u_i^l in its left columns; it
+    joins M's int rows with its own denominator.
+    """
+    master, roots = master_matrix(data), []
+    for i in range(data.l):
+        at = sum(data.n_vec[:i])
+        row = [0] * data.k + master.nums[at][: data.n - data.k + 1]
+        ext = ExactMatrix.from_ints(M.nums + [row], M.dens + [master.dens[at]], M.c, data.field)
+        if rank(ext) == r:
+            roots.append(i)
+    return roots
+
+
 def classify_by_rank_ref(data: HermiteData) -> StratumReport:
     """The rank classifier on one rank per node and determinant
     certificates: at defect d <= m+1 node i is a witness when deleting the
     last row of its block and the last column of each side from the
-    (d-1)-shrunken matrix loses full column rank, and the certificates are
+    (d-1)-shrunken matrix loses full column rank; above m+1, when appending
+    its evaluation row to the main matrix leaves the rank unchanged
+    (``_denominator_root_nodes``).  The certificates are
     ``diagonal_minor(k-d+1)`` and ``diagonal_minor(k+d)``."""
     k, n, m = data.k, data.n, data.m
     main = build_matrix(data, k - 1, n - k)
@@ -168,6 +196,51 @@ def classify_by_rank_ref(data: HermiteData) -> StratumReport:
         unattainable=bool(witnesses),
         witnesses=tuple(witnesses),
     )
+
+
+def brute_force_kernel(M: ExactMatrix) -> list[tuple]:
+    """Kernel basis by plain Gauss-Jordan, pivoting bottom-up.
+
+    Deliberately different from the production path (fraction-free, top-down
+    on plain ints): it divides boxed scalars, pivots are searched from the
+    last row upward and the output vectors are not normalized.  Spans must
+    agree with kernel_basis.
+    """
+    if M.c > MAX_BRUTE_COLS:
+        raise TooLarge(f"brute-force kernel capped at {MAX_BRUTE_COLS} columns")
+    rows = [list(M.row(r)) for r in range(M.r)]
+    pivot_of: dict[int, int] = {}
+    used: set[int] = set()
+    for c in range(M.c):
+        pr = None
+        for r in range(M.r - 1, -1, -1):
+            if r not in used and rows[r][c]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        used.add(pr)
+        pivot_of[c] = pr
+        piv = rows[pr][c]
+        for r in range(M.r):
+            if r != pr and rows[r][c]:
+                factor = rows[r][c] / piv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+    basis = []
+    for f in range(M.c):
+        if f in pivot_of:
+            continue
+        vec = [M.field.zero] * M.c
+        vec[f] = M.field.one
+        for c, pr in pivot_of.items():
+            vec[c] = -(rows[pr][f] / rows[pr][c])
+        basis.append(tuple(vec))
+    return basis
+
+
+def monic_ref(p: Poly) -> Poly:
+    """p scaled by the inverse of its leading coefficient; zero stays zero."""
+    return p if p.is_zero else p * (p.field.one / p.lead)
 
 
 def eliminate_ref(M: ExactMatrix) -> tuple[list[list[int]], list[int], int, bool, int]:
@@ -312,7 +385,7 @@ def gcd_ref(p: Poly, q: Poly) -> Poly:
     a, b = p, q
     while not b.is_zero:
         a, b = b, divmod_ref(a, b)[1]
-    return a.monic()
+    return monic_ref(a)
 
 
 def eea_ref(F: Poly, G: Poly) -> list:

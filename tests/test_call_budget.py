@@ -1,6 +1,6 @@
 """Elimination budgets: each route and classifier eliminates every distinct
 matrix it needs once, ``find_defect`` at most three, ``solve_kernel`` one,
-``classify_by_rank`` two below defect m+2 plus at most two tail ranks, and
+``classify_by_rank`` two at every defect plus at most two tail ranks, and
 ``eea-trace`` runs one Euclid for its table.  Work pins: the node int view
 is computed once per instance, ``rhip_check`` is one pass of two Taylor
 shifts per node, and a parsed GF(p) document is solved and classified
@@ -8,8 +8,8 @@ without one checked ``PrimeFieldElement`` construction.
 
 ``_count_eliminations`` wraps ``linalg._eliminate`` in ``linalg`` and in
 every ratherm module that binds it, so each elimination is seen, behind
-the public wrappers or not.  The other counters wrap ``rank`` and
-``diagonal_minor`` where ``strata`` imports them, ``_remainders`` in
+the public wrappers or not; ``determinant`` is spied on the same way.  The
+other counters wrap ``rank`` where ``strata`` imports it, ``_remainders`` in
 ``polynomial``, and ``_minors_and_rank`` both in ``linalg``, behind
 ``signed_minors``, and where ``solvers`` imports it for ``minor_vector`` and
 ``find_defect``'s read of the main matrix.
@@ -170,18 +170,17 @@ def test_solve_kernel_eliminates_the_main_matrix_once(monkeypatch, generic):
     assert {solve_kernel(d)[0].kernel_dim for d in draws} == {1, 2, 3, 4}
 
 
-def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic):
-    """One main rank gives the defect in both regimes.  Up to defect m+1
-    one elimination, stopped after the c = n-2d+1 columns of the
-    d-shrunken matrix, then gives every witness, and one rank of each
-    (2d-1)-square tail block each certificate: no determinant, no
-    submatrix.  Beyond m+1 each node costs one rank of the main matrix with
-    that node's evaluation row appended."""
+def test_rank_classifier_takes_one_stopped_elimination_at_every_defect(monkeypatch, generic):
+    """One main rank gives the defect d, and one elimination, stopped after
+    the c columns of the d-shrunken matrix, gives every witness, and one
+    rank of each w-square tail block each certificate: no determinant, no
+    submatrix.  Up to m+1, c = n-2d+1 and w = 2d-1.  Beyond it, where
+    d > k, the shrunken matrix has right columns only, c = n-k-d+1, the
+    tail block is (k+d-1)-square, and there is no lower block to rank."""
     eliminations = _count_eliminations(monkeypatch)
     ranks = _count(monkeypatch, strata, "rank")
     forbidden = [
-        _count(monkeypatch, solvers, "determinant"),
-        _count(monkeypatch, strata, "diagonal_minor"),
+        _spy_everywhere(monkeypatch, linalg, "determinant"),
         _count(monkeypatch, problem, "build_submatrix_i"),
     ]
     draws = _draws((((3, 3, 2), 4, 3),), 80)
@@ -191,22 +190,24 @@ def test_rank_classifier_takes_one_rank_per_node_plus_main(monkeypatch, generic)
         rep = classify_by_rank(d)
         assert (rep.defect > d.m + 1) == (d in ZERO_NUMERATOR)
         if d in ZERO_NUMERATOR:
-            assert len(ranks) == 1 + d.l
-            continue
-        w, c = 2 * rep.defect - 1, d.n - 2 * rep.defect + 1
-        assert eliminations == [
-            (d.n, d.n + 1, None), (d.n, c + 2 * w + d.l, c), (w, w, None), (w, w, None)
-        ]
-        assert len(ranks) == 3
+            w, c = d.k + rep.defect - 1, d.n - d.k - rep.defect + 1
+            assert eliminations == [(d.n, d.n + 1, None), (d.n, c + w + d.l, c), (w, w, None)]
+            assert len(ranks) == 2
+        else:
+            w, c = 2 * rep.defect - 1, d.n - 2 * rep.defect + 1
+            assert eliminations == [
+                (d.n, d.n + 1, None), (d.n, c + 2 * w + d.l, c), (w, w, None), (w, w, None)
+            ]
+            assert len(ranks) == 3
         assert not any(forbidden)
 
 
 def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
-    """The display window reads the remainder sequence, not determinants;
-    the rank classifier reads its chart certificates off the stopped
-    elimination up to defect m+1, and takes Delta_{k+d,k+d} as a
-    determinant beyond it, where the lower chart's index k-d+1 is below 1."""
-    calls = _count(monkeypatch, strata, "diagonal_minor")
+    """Neither the display window, which reads the remainder sequence, nor
+    the rank classifier, which reads both chart certificates off its
+    stopped elimination at every defect, takes a determinant, below m+1
+    or beyond it, where the lower chart's index k-d+1 is below 1."""
+    calls = _spy_everywhere(monkeypatch, linalg, "determinant")
     draws = [
         sample_stratum((3, 3, 2), 4, j, False, 40 + j, field)
         for field in (RAT, FieldConfig.prime(1000003))
@@ -216,10 +217,11 @@ def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
     for d in generic + draws + [beyond]:
         calls.clear()
         diagonal_window(d)
+        classify_by_rank(d)
         assert calls == []
-        defect = classify_by_rank(d).defect
-        assert len(calls) == (0 if defect <= d.m + 1 else 1)
-    assert d is beyond and len(calls) == 1
+    assert d is beyond and classify_by_rank(d).defect == 3 > d.m + 1
+    solvers.diagonal_minor(beyond, 4)
+    assert len(calls) == 1
 
 
 def test_eea_trace_runs_two_remainder_sequences(monkeypatch, generic, tmp_path, capsys):

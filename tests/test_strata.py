@@ -11,19 +11,24 @@ import pytest
 from ratherm import (
     FieldConfig,
     HermiteData,
+    InternalInconsistency,
     Poly,
     ShapeMismatch,
     classify_by_rank,
     diagonal_minor,
     hermite_interpolant,
+    linalg,
     rational_taylor,
     sample_stratum,
     solve_kernel,
+    strata,
     stratum_equations,
 )
-from ratherm.strata import diagonal_window
+from ratherm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNATTAINABLE
+from ratherm.strata import StratumReport, diagonal_window
 
-from oracles import b1_closed_form_check, defect_by_scan_ref
+from oracles import b1_closed_form_check, classify_by_rank_ref, defect_by_scan_ref
+from test_golden_cli import LOW_ENTROPY_SHAPES, run_cli
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -255,3 +260,70 @@ def test_b1_closed_form_shape_guard():
     wrong_k = HermiteData((0, 1), (2, 1), ((0, 0), (0,)), 1, RAT)
     with pytest.raises(ShapeMismatch):
         b1_closed_form_check(wrong_k)
+
+
+def _above_generic_bound(field, per_cell, seed):
+    """Low-entropy documents over field, drawn as the golden corpus draws its
+    zero-heavy ones, keeping those of defect above m+1 until per_cell have
+    witnesses and per_cell have none."""
+    rng = random.Random(seed)
+    pool = (0, 0, 0, 0, 1, -1, Fraction(1, 2) if field.p is None else 2)
+    cells = {True: [], False: []}
+    while min(len(docs) for docs in cells.values()) < per_cell:
+        shape = rng.choice(LOW_ENTROPY_SHAPES)
+        u = rng.sample(range(-3, 4), len(shape))
+        v = [[rng.choice(pool) for _ in range(ni)] for ni in shape]
+        d = HermiteData(u, shape, v, rng.randint(1, sum(shape)), field)
+        ref = classify_by_rank_ref(d)
+        if ref.defect > d.m + 1 and len(cells[ref.unattainable]) < per_cell:
+            cells[ref.unattainable].append((d, ref))
+    return cells[True] + cells[False]
+
+
+def _tall_zero_numerator():
+    """Shape (8,8,8,8), k = 6, over Q: the Taylor data of G = (F / x) (x + 5),
+    F = prod (x - u_i)^8 at nodes 0..3.  Its minimal pair is (0, x), so the
+    defect is n-k = 26, the upper chart alone holds and node 0 witnesses."""
+    G = Poly((5, 1), RAT) * Poly((0, 1), RAT) ** 7
+    for x in (1, 2, 3):
+        G = G * Poly((-x, 1), RAT) ** 8
+    v = tuple(rational_taylor(G, Poly((1,), RAT), Fraction(x), 8) for x in range(4))
+    return HermiteData(range(4), (8, 8, 8, 8), v, 6, RAT)
+
+
+def test_classify_matches_reference_above_generic_bound():
+    """Above m+1, where the minimal numerator is zero, ``classify``'s rank
+    report off one stopped elimination equals the report of per-node
+    appended-row ranks and determinant certificates, with witnesses and
+    without, over Q, GF(7) and GF(1000003), and on a tall family."""
+    cases = [
+        case
+        for seed, field in enumerate((RAT, FieldConfig.prime(7), FieldConfig.prime(1000003)))
+        for case in _above_generic_bound(field, 8, 21 + seed)
+    ]
+    tall = _tall_zero_numerator()
+    cases.append((tall, classify_by_rank_ref(tall)))
+    assert cases[-1][1] == StratumReport(26, "upper", True, (0,))
+    for d, ref in cases:
+        assert classify_by_rank(d) == ref
+        code, out, _ = run_cli(["classify"], json.dumps(d.to_json_dict()))
+        assert code == (EXIT_UNATTAINABLE if ref.unattainable else EXIT_OK)
+        assert json.loads(out)["rank"] == ref.to_json_dict(d, diagonal_window(d))
+
+
+def test_shrunken_matrix_rank_shortfall_is_an_internal_error(monkeypatch, golden):
+    """A stopped elimination that finds fewer than c pivots contradicts the
+    main rank: ``classify`` exits 2 with a JSON error, below m+1 and above."""
+    def one_pivot_short(M, stop=None):
+        rows, pivots, last, parity, scale = linalg._eliminate(M, stop)
+        return rows, pivots[:-1], last, parity, scale
+
+    monkeypatch.setattr(strata, "_eliminate", one_pivot_short)
+    beyond, defect, _ = DEGENERATE[2]
+    assert defect == 3 > beyond.m + 1  # k = 1: C is the (-1, 0) matrix, c = 1
+    for d in (golden, beyond):
+        with pytest.raises(InternalInconsistency, match="shrunken matrix has rank"):
+            classify_by_rank(d)
+        code, out, err = run_cli(["classify"], json.dumps(d.to_json_dict()))
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert json.loads(err)["kind"] == "InternalInconsistency"

@@ -3,9 +3,9 @@ tests calls.
 
 A top-level function or class, or a public method or property of a class,
 counts as called when another piece of ``src/ratherm`` (``__init__.py`` and
-its own body aside) refers to it by name, when ``README.md`` documents it,
-or when ``perfbench/`` uses it.
-Docstring mentions do not count.  Test oracles live in ``tests/``.
+its own body aside) refers to it by name, when ``README.md`` documents it in
+a code span or a fenced block, or when ``perfbench/`` uses it.  Docstring
+mentions and README prose do not count.  Test oracles live in ``tests/``.
 """
 
 import ast
@@ -54,12 +54,19 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(module, name, None)), f"ratherm.{layer}.{name}"
 
 
+def _readme_code():
+    """README.md's fenced blocks and inline code spans, joined: the only
+    README text that documents a name."""
+    readme = (ROOT / "README.md").read_text()
+    return "\n".join(re.findall(r"^```.*?^```|`[^`]+`", readme, re.S | re.M))
+
+
 def _orphans(defs):
     """Names among defs (qualified name -> node) with no caller outside their
     own body: not in another piece of src/ratherm, README.md or perfbench/."""
     trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     in_src = sum(map(_refs, trees), Counter())
-    readme = (ROOT / "README.md").read_text()
+    readme = _readme_code()
     perfbench = _perfbench_uses()
     return [
         qualname

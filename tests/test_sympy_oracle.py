@@ -21,7 +21,9 @@ from ratherm import (  # noqa: E402
     rank,
     signed_minors,
 )
-from ratherm.verify import MAX_BRUTE_COLS, sample_stratum  # noqa: E402
+from ratherm.verify import sample_stratum  # noqa: E402
+
+from oracles import MAX_BRUTE_COLS  # noqa: E402
 
 RAT = FieldConfig.rationals()
 GFP = FieldConfig.prime(1000003)

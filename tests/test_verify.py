@@ -14,7 +14,6 @@ from ratherm import (
     InfeasibleRequest,
     InvalidInput,
     TooLarge,
-    brute_force_kernel,
     build_matrix,
     check_identity,
     kernel_basis,
@@ -32,7 +31,7 @@ from ratherm.verify import (
     random_scalar,
 )
 
-from oracles import disputed_variants, specialized_vandermonde_data
+from oracles import brute_force_kernel, disputed_variants, specialized_vandermonde_data
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
