@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over Q and over prime fields GF(p).
 
 A Scalar is either a ``fractions.Fraction`` (always reduced, positive
-denominator) or a :class:`PrimeFieldElement`.  Both are immutable, compare
-structurally, and support the arithmetic operators; plain ``int`` operands
-are lifted into the field, but rationals and prime-field elements never mix
+denominator) or a :class:`PrimeFieldElement`.  Both are immutable and
+compare structurally.  A ``PrimeFieldElement`` has ``+``, ``-``, ``*``,
+``/``, ``**`` and unary ``-``; a plain ``int`` operand is lifted into the
+field only where a slot takes one (right of ``+``, ``-``, ``*`` and ``/``,
+and left of ``*``), and rationals and prime-field elements never mix
 (:class:`~ratherm.errors.MixedFields`).
 
 Zero tests are done by truthiness (``if x:``), which both scalar kinds
@@ -122,19 +124,11 @@ class PrimeFieldElement:
             return NotImplemented
         return _mod(self.residue + o.residue, self.p)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return _mod(self.residue - o.residue, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _mod(o.residue - self.residue, self.p)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -152,17 +146,8 @@ class PrimeFieldElement:
             raise DivisionByZero(f"division by zero in GF({self.p})")
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return _mod(-self.residue, self.p)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, e: int):
         if e < 0:

@@ -18,41 +18,28 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InternalInconsistency, ShapeMismatch
-from .field import FieldConfig, Scalar, infer_field
-from .polynomial import _box, _ints
+from .field import FieldConfig, Scalar
+from .polynomial import _box
 
 
 class ExactMatrix:
     """Immutable dense matrix over one exact field; r or c may be zero.
 
     Row i is the int list ``nums[i]`` over the positive int ``dens[i]``;
-    over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.  A
-    slice keeps its master row's denominator, so ``==`` compares entries.
+    over GF(p) residues in 0..p-1 over 1.  Neither is to be mutated.
+    :meth:`from_ints` is the only constructor; a slice keeps its master
+    row's denominator.
     """
 
     __slots__ = ("r", "c", "field", "nums", "dens")
-
-    def __init__(self, rows: Iterable[Iterable], field: Optional[FieldConfig] = None):
-        raw = [list(row) for row in rows]
-        widths = {len(row) for row in raw}
-        if len(widths) > 1:
-            raise ShapeMismatch(f"ragged rows of widths {sorted(widths)}")
-        if field is None:
-            field = infer_field(x for row in raw for x in row)
-        ints = [_ints(field, [field.coerce(x) for x in row]) for row in raw]
-        nums, dens = [row for row, _ in ints], [den for _, den in ints]
-        self._fill(widths.pop() if widths else 0, field, nums, dens)
 
     @classmethod
     def from_ints(cls, nums: list, dens: list, c: int, field: FieldConfig) -> "ExactMatrix":
         """The matrix of rows nums[i] / dens[i], taken unchecked."""
         out = object.__new__(cls)
-        out._fill(c, field, nums, dens)
+        for name, value in zip(cls.__slots__, (len(nums), c, field, nums, dens)):
+            object.__setattr__(out, name, value)
         return out
-
-    def _fill(self, c: int, field: FieldConfig, nums: list, dens: list):
-        for name, value in zip(self.__slots__, (len(nums), c, field, nums, dens)):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -62,9 +49,6 @@ class ExactMatrix:
         if self.field.p is None:
             return tuple(Fraction(x, self.dens[i]) for x in self.nums[i])
         return tuple(map(self.field.from_int, self.nums[i]))
-
-    def rows_list(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.r)]
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
         """The submatrix on the given row and column indices, in that order;
@@ -80,30 +64,6 @@ class ExactMatrix:
             raise ShapeMismatch(f"vector of length {len(v)} times {self.r}x{self.c}")
         zero = self.field.zero
         return [sum((x * y for x, y in zip(self.row(i), v)), zero) for i in range(self.r)]
-
-    def __eq__(self, other):
-        if isinstance(other, ExactMatrix):
-            return (
-                self.field == other.field
-                and (self.r, self.c) == (other.r, other.c)
-                and all(self.row(i) == other.row(i) for i in range(self.r))
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.r, self.c, *map(self.row, range(self.r))))
-
-    def __str__(self):
-        if not self.r * self.c:
-            return f"<empty {self.r}x{self.c} matrix>"
-        cells = [[str(x) for x in self.row(i)] for i in range(self.r)]
-        width = max(len(s) for row in cells for s in row)
-        return "\n".join(
-            "[ " + "  ".join(s.rjust(width) for s in row) + " ]" for row in cells
-        )
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows_list()!r})"
 
 
 def _eliminate(

@@ -9,13 +9,14 @@ Also here: gcd and the Extended Euclidean table with full row history (the
 remaindering), the node product polynomial, and Taylor coefficients of a
 rational function (power-series division, no symbolic quotient rule).
 
-``Poly`` arithmetic (``+``, ``-``, ``*``, ``**``; there is no
-polynomial division) runs on field scalars.  ``evaluate``,
-``taylor_prefix`` (a Taylor shift at an int node), ``rational_taylor``,
-``hermite_interpolant``, ``product_F`` and ``_remainders`` (the one
-remainder sequence, behind ``gcd``, ``eea``, ``solve_eea`` and
-``diagonal_window``) run on cleared-denominator ints from ``_ints`` and
-box each result once (``_box``); results become a ``Poly`` unchecked.
+``Poly``'s one arithmetic operator is ``*``, by a scalar or a ``Poly``
+(there is no sum, power or division), and it runs on field scalars.
+``evaluate``, ``taylor_prefix`` (a Taylor shift at an int node),
+``rational_taylor``, ``hermite_interpolant``, ``product_F`` and
+``_remainders`` (the one remainder sequence, behind ``gcd``, ``eea``,
+``solve_eea`` and ``diagonal_window``) run on cleared-denominator ints
+from ``_ints`` and box each result once (``_box``); results become a
+``Poly`` unchecked.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class Poly:
     def zero(cls, field: FieldConfig = RATIONALS) -> "Poly":
         return cls((), field)
 
-    @classmethod
-    def one(cls, field: FieldConfig = RATIONALS) -> "Poly":
-        return cls((1,), field)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
@@ -99,77 +96,26 @@ class Poly:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _join(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction, PrimeFieldElement)):
-            return Poly._trimmed([self.field.coerce(other)], self.field)
-        return NotImplemented
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __add__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly._trimmed(out, self.field)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._trimmed([-c for c in self.coeffs], self.field)
-
-    def __sub__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PrimeFieldElement)):
             c = self.field.coerce(other)
             return Poly._trimmed([c * a for a in self.coeffs], self.field)
-        o = self._join(other)
-        if o is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or o.is_zero:
+        if other.field != self.field:
+            raise MixedFields(f"{self.field} vs {other.field}")
+        if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly._trimmed(out, self.field)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ZeroInput("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __call__(self, x0) -> Scalar:
         return evaluate(self, x0)

@@ -35,6 +35,12 @@ normalization, by the inverse leading coefficient.
 ``rhip_check_ref`` (the residual, then the node test, on field scalars) and
 ``from_pair_ref`` (the pair normalized by ``Poly`` arithmetic) are the
 routines the int view, the one-pass check and the box-once pair replaced.
+
+``matrix`` and ``rows`` build an ``ExactMatrix`` from rows of scalars and
+read them back; ``poly_one``, ``poly_add``, ``poly_sub`` and ``poly_pow``
+are the polynomial sums and powers of the tests.  The package has none of
+them: no CLI run builds a matrix from scalar rows, and ``Poly`` has ``*``
+only.
 """
 
 import math
@@ -63,6 +69,47 @@ from ratherm.problem import master_matrix
 from ratherm.strata import StratumReport, _chart_label
 
 MAX_BRUTE_COLS = 8
+
+
+def matrix(entries, field) -> ExactMatrix:
+    """The ExactMatrix over field of rows of ints, Fractions or field scalars,
+    built through ``ExactMatrix.from_ints`` on each row's ``_ints``."""
+    scalars = [[field.coerce(x) for x in row] for row in entries]
+    ints = [_ints(field, row) for row in scalars]
+    width = len(scalars[0]) if scalars else 0
+    return ExactMatrix.from_ints([nums for nums, _ in ints], [den for _, den in ints], width, field)
+
+
+def rows(M: ExactMatrix) -> list[list]:
+    """The rows of M as lists of field scalars."""
+    return [list(M.row(i)) for i in range(M.r)]
+
+
+def poly_one(field) -> Poly:
+    return Poly((1,), field)
+
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    """p + q on coefficient lists; q must be over p's field."""
+    a, b = list(p.coeffs), list(q.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    for i, c in enumerate(b):
+        a[i] = a[i] + c
+    return Poly(a, p.field)
+
+
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    """p - q on coefficient lists; q must be over p's field."""
+    return poly_add(p, Poly([-c for c in q.coeffs], q.field))
+
+
+def poly_pow(p: Poly, e: int) -> Poly:
+    """p to the power e >= 0, by repeated products."""
+    out = poly_one(p.field)
+    for _ in range(e):
+        out = out * p
+    return out
 
 
 def b1_closed_form_check(data: HermiteData) -> bool:
@@ -395,13 +442,13 @@ def eea_ref(F: Poly, G: Poly) -> list:
     Row 0 is (0, 0, F, 1, 0); row i >= 1 carries the quotient of rows i-1
     and i, and the zero row the quotient of the step that produced it.
     """
-    zero, one = Poly.zero(F.field), Poly.one(F.field)
+    zero, one = Poly.zero(F.field), poly_one(F.field)
     rows = [EEARow(0, zero, F, one, zero)]
     prev, cur = (F, one, zero), (G, zero, one)
     while True:
         q, r = divmod_ref(prev[0], cur[0])
         rows.append(EEARow(len(rows), q, *cur))
-        prev, cur = cur, (r, prev[1] - q * cur[1], prev[2] - q * cur[2])
+        prev, cur = cur, (r, poly_sub(prev[1], q * cur[1]), poly_sub(prev[2], q * cur[2]))
         if r.is_zero:
             rows.append(EEARow(len(rows), q, *cur))
             return rows

@@ -26,6 +26,8 @@ from ratherm.field import MAX_DIGITS
 from ratherm.problem import MAX_N
 from ratherm.verify import MAX_SAMPLES
 
+from oracles import poly_add, poly_one
+
 RAT = FieldConfig.rationals()
 
 GOLDEN_DOC = {
@@ -296,7 +298,7 @@ def test_agreement_rejects_a_different_solvable_pair(tmp_path, capsys, monkeypat
 
     def other_pair(data):
         sol = solve_eea(data).sol
-        return Solvable(RationalSolution(sol.A + 1, sol.B))  # not proportional
+        return Solvable(RationalSolution(poly_add(sol.A, poly_one(sol.A.field)), sol.B))  # not proportional
 
     code, out = _disagreement(capsys, tmp_path, monkeypatch, solvable_doc(), "solve_eea", other_pair)
     assert (code, out["method_agreement"]) == (2, False)

@@ -73,8 +73,8 @@ def test_prime_field_arithmetic():
     assert a**0 == PrimeFieldElement(1, 5)
     assert bool(a)
     assert not PrimeFieldElement(0, 5)
-    assert 1 + a == PrimeFieldElement(4, 5)
-    assert 1 - a == PrimeFieldElement(3, 5)
+    assert a + 1 == PrimeFieldElement(4, 5)
+    assert a - 1 == PrimeFieldElement(2, 5)
     assert 2 * a == PrimeFieldElement(1, 5)
 
 
@@ -134,9 +134,13 @@ def test_scalar_helpers_mixed_field_guard():
     g = PrimeFieldElement(1, 5)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(MixedFields):
-            op(q, g)
-        with pytest.raises(MixedFields):
             op(g, q)
+    with pytest.raises(MixedFields):
+        q * g
+    # no reflected +, - or / slot: Python itself refuses the pair
+    for op in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(TypeError):
+            op(q, g)
     with pytest.raises(DivisionByZero):
         g / PrimeFieldElement(0, 5)
 
@@ -242,7 +246,7 @@ def test_residues_from_arithmetic_equal_constructed_ones(p, x, y):
     """Arithmetic, ``from_int`` and parsing build residues unchecked; each
     equals ``PrimeFieldElement(r, p)`` in residue, p, == and hash."""
     field, a, b = FieldConfig.prime(p), PrimeFieldElement(x, p), PrimeFieldElement(y, p)
-    built = [a + b, a - b, a * b, -a, a**3, 3 + a, 3 - a, a * 3, field.from_int(x),
+    built = [a + b, a - b, a * b, -a, a**3, a + 3, a - 3, 3 * a, a * 3, field.from_int(x),
              field.parse_scalar(x), field.parse_scalar({"residue": x, "p": p})]
     if b:
         built += [a / b, b.inverse(), a**-2 if a else a]

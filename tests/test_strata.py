@@ -27,7 +27,7 @@ from ratherm import (
 from ratherm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNATTAINABLE
 from ratherm.strata import StratumReport, diagonal_window
 
-from oracles import b1_closed_form_check, classify_by_rank_ref, defect_by_scan_ref
+from oracles import b1_closed_form_check, classify_by_rank_ref, defect_by_scan_ref, poly_pow
 from test_golden_cli import LOW_ENTROPY_SHAPES, run_cli
 
 RAT = FieldConfig.rationals()
@@ -284,9 +284,9 @@ def _tall_zero_numerator():
     """Shape (8,8,8,8), k = 6, over Q: the Taylor data of G = (F / x) (x + 5),
     F = prod (x - u_i)^8 at nodes 0..3.  Its minimal pair is (0, x), so the
     defect is n-k = 26, the upper chart alone holds and node 0 witnesses."""
-    G = Poly((5, 1), RAT) * Poly((0, 1), RAT) ** 7
+    G = Poly((5, 1), RAT) * poly_pow(Poly((0, 1), RAT), 7)
     for x in (1, 2, 3):
-        G = G * Poly((-x, 1), RAT) ** 8
+        G = G * poly_pow(Poly((-x, 1), RAT), 8)
     v = tuple(rational_taylor(G, Poly((1,), RAT), Fraction(x), 8) for x in range(4))
     return HermiteData(range(4), (8, 8, 8, 8), v, 6, RAT)
 

@@ -23,7 +23,7 @@ from ratherm import (  # noqa: E402
 )
 from ratherm.verify import sample_stratum  # noqa: E402
 
-from oracles import MAX_BRUTE_COLS  # noqa: E402
+from oracles import MAX_BRUTE_COLS, rows  # noqa: E402
 
 RAT = FieldConfig.rationals()
 GFP = FieldConfig.prime(1000003)
@@ -83,11 +83,11 @@ def test_rank_and_diagonal_minors(drawn):
     singular = 0
     for t in range(1, n + 2):
         M = build_matrix(d, t - 1, n - t)
-        rows = M.rows_list()
-        dm, conv = oracle(rows, d.field)
+        entries = rows(M)
+        dm, conv = oracle(entries, d.field)
         assert rank(M) == dm.rank()
         # Delta_{t,t}: column t deleted by hand, not by slicing
-        square, _ = oracle(drop_column(rows, t - 1), d.field)
+        square, _ = oracle(drop_column(entries, t - 1), d.field)
         want = square.det()
         assert conv(diagonal_minor(d, t)) == want
         singular += not want
@@ -103,7 +103,7 @@ def test_kernel_basis_span(drawn):
     for alpha, beta in ((k - 1, n - k), (k - 2, n - k), (k - 1, n - k + 1)):
         M = build_matrix(d, alpha, beta)
         basis = kernel_basis(M)
-        dm, _ = oracle(M.rows_list(), d.field)
+        dm, _ = oracle(rows(M), d.field)
         theirs = dm.nullspace()
         assert len(basis) == theirs.shape[0]
         if not basis:
@@ -118,10 +118,10 @@ def test_signed_minors(drawn):
     d, defect = drawn
     n, k = d.n, d.k
     for t in sorted({k - 1, k, k + 1, k + defect}):
-        rows = build_matrix(d, t - 1, n - t).rows_list()
+        entries = rows(build_matrix(d, t - 1, n - t))
         mv = signed_minors(build_matrix(d, t - 1, n - t))
-        _, conv = oracle(rows, d.field)
+        _, conv = oracle(entries, d.field)
         for i in range(1, n + 2):
-            square, _ = oracle(drop_column(rows, i - 1), d.field)
+            square, _ = oracle(drop_column(entries, i - 1), d.field)
             want = square.det()
             assert conv(mv[i - 1]) == (want if i % 2 else -want)

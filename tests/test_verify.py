@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from ratherm import (
-    ExactMatrix,
     FieldConfig,
     HermiteData,
     InfeasibleRequest,
@@ -31,7 +30,7 @@ from ratherm.verify import (
     random_scalar,
 )
 
-from oracles import brute_force_kernel, disputed_variants, specialized_vandermonde_data
+from oracles import brute_force_kernel, disputed_variants, matrix, specialized_vandermonde_data
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -139,21 +138,19 @@ def test_brute_force_kernel_spans_match():
                 [field.from_int(rng.randint(-4, 4)) for _ in range(c)]
                 for _ in range(r)
             ]
-            m = ExactMatrix(rows, field)
+            m = matrix(rows, field)
             fast = kernel_basis(m)
             slow = brute_force_kernel(m)
             assert len(fast) == len(slow)
             if fast:
-                stacked = ExactMatrix(
-                    [list(v) for v in fast] + [list(v) for v in slow], field
-                )
+                stacked = matrix(fast + slow, field)
                 assert rank(stacked) == len(fast)
             for vec in slow:
                 assert not any(m.mul_vector(list(vec)))
 
 
 def test_brute_force_kernel_size_cap():
-    wide = ExactMatrix([[Fraction(i) for i in range(9)]], RAT)
+    wide = matrix([[Fraction(i) for i in range(9)]], RAT)
     with pytest.raises(TooLarge):
         brute_force_kernel(wide)
 
