@@ -30,7 +30,6 @@ from .field import (
     FieldConfig,
     PrimeFieldElement,
     Scalar,
-    infer_field,
 )
 from .linalg import (
     ExactMatrix,

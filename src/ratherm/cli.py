@@ -38,7 +38,7 @@ from .errors import (
     TooLarge,
 )
 from .field import RATIONALS, FieldConfig, parse_json_int
-from .polynomial import Poly, _eea_table, gcd, hermite_interpolant, product_F
+from .polynomial import Poly, _eea_table, _ints, gcd, hermite_interpolant, product_F
 from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
 from .solvers import MinimalSolution, minor_vector, solve_eea, solve_kernel, solve_minors
 from .strata import classify_by_rank, diagonal_window, stratum_equations
@@ -233,13 +233,16 @@ def cmd_minors(args, data: HermiteData) -> int:
             f"t range must satisfy 0 <= min <= max <= n+1 = {n + 1}, "
             f"got {t_min}..{t_max}"
         )
-    fmt = data.field.format_scalar
+    fmt, p = data.field.format_scalar, data.field.p
     table = {}
     pretty = []
     vectors = {t: minor_vector(data, t) for t in range(t_min, t_max + 1)}
     for t, mv in vectors.items():
+        # the matrix's int rows against the printed vector, cleared to ints
+        ints = _ints(data.field, mv)[0]
         M = build_matrix(data, t - 1, n - t)
-        annihilates = not any(M.mul_vector(mv))
+        dots = (sum(x * y for x, y in zip(row, ints)) for row in M.nums)
+        annihilates = not any(x % p if p else x for x in dots)
         table[str(t)] = {
             "values": {str(i): fmt(x) for i, x in enumerate(mv, 1)},
             "annihilates": annihilates,

@@ -281,13 +281,3 @@ class FieldConfig:
 
 
 RATIONALS = FieldConfig.rationals()
-
-
-def infer_field(scalars) -> FieldConfig:
-    """FieldConfig of the first non-int scalar; Q when all are ints."""
-    for x in scalars:
-        if isinstance(x, PrimeFieldElement):
-            return FieldConfig.prime(x.p)
-        if isinstance(x, Fraction):
-            return RATIONALS
-    return RATIONALS

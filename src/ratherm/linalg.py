@@ -3,8 +3,10 @@ maximal minors, each read off one forward elimination on plain ints
 (fraction-free over Q, with unit pivots over GF(p)) and, for kernels and
 minors, back substitution on the echelon rows; and submatrices by index
 selection.  An :class:`ExactMatrix` stores int rows (numerators over one
-row denominator over Q, residues over GF(p)); a row is boxed into field
-scalars only when it is read, and so are returned values.
+row denominator over Q, residues over GF(p)) and never boxes them.
+``_minors_and_rank`` hands the signed minors on as ints over one scale,
+for callers that need them only up to scale; the public results are boxed
+into field scalars once, as they are returned.
 
 Row and column indices are 0-based everywhere in this module, and so are
 the positions of a signed-minor tuple: the minor written with 1-based
@@ -14,7 +16,6 @@ column i sits at position i-1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InternalInconsistency, ShapeMismatch
@@ -44,12 +45,6 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    def row(self, i: int) -> tuple:
-        """Row i as field scalars, boxed on each call."""
-        if self.field.p is None:
-            return tuple(Fraction(x, self.dens[i]) for x in self.nums[i])
-        return tuple(map(self.field.from_int, self.nums[i]))
-
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
         """The submatrix on the given row and column indices, in that order;
         rows keep their denominators, and it has len(cols) columns even when
@@ -57,13 +52,6 @@ class ExactMatrix:
         rows, cols = list(rows), list(cols)
         nums = [[row[j] for j in cols] for row in (self.nums[i] for i in rows)]
         return ExactMatrix.from_ints(nums, [self.dens[i] for i in rows], len(cols), self.field)
-
-    def mul_vector(self, v) -> list[Scalar]:
-        v = list(v)
-        if len(v) != self.c:
-            raise ShapeMismatch(f"vector of length {len(v)} times {self.r}x{self.c}")
-        zero = self.field.zero
-        return [sum((x * y for x, y in zip(self.row(i), v)), zero) for i in range(self.r)]
 
 
 def _eliminate(
@@ -188,23 +176,24 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     return basis
 
 
-def _minors_and_rank(M: ExactMatrix, negate: bool = False) -> tuple[tuple, int]:
-    """``signed_minors(M)``, negated with ``negate``, and rank(M) off one elimination; at full
-    rank the free column f's kernel vector times (-1)^(f+parity+negate) / scale, boxed once."""
+def _minors_and_rank(M: ExactMatrix) -> tuple[list[int], int, int]:
+    """(ints, scale, rank) off one elimination: ``signed_minors(M)`` is
+    ints / scale.  At full rank ints is the free column f's kernel vector
+    times (-1)^(f+parity), residues up to sign over GF(p); below it, zeros
+    over 1."""
     if M.r != M.c - 1:
         raise ShapeMismatch(f"signed minors need r = c-1, got {M.r}x{M.c}")
     rows, pivots, last, parity, scale = _eliminate(M)
-    field = M.field
     if len(pivots) < M.r:
-        return (field.zero,) * M.c, len(pivots)
+        return [0] * M.c, 1, len(pivots)
     f = next(c for c in range(M.c) if c not in pivots)
     v = _kernel_vector(M, rows, pivots, last, f)
-    sign = -1 if (f + parity + negate) % 2 else 1
-    return tuple(_box(field, [sign * x for x in v], scale)), M.r
+    return ([-x for x in v] if (f + parity) % 2 else v), scale, M.r
 
 
 def signed_minors(M: ExactMatrix) -> tuple:
     """Signed maximal minors of an r x (r+1) matrix, as an (r+1)-tuple:
     position i-1 holds (-1)^(i+1) det(M with 1-based column i deleted), a
     kernel vector at rank r and zero below it."""
-    return _minors_and_rank(M)[0]
+    ints, scale, _ = _minors_and_rank(M)
+    return tuple(_box(M.field, ints, scale))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     BothZero,
@@ -39,7 +39,6 @@ from .field import (
     PrimeFieldElement,
     Scalar,
     _mod,
-    infer_field,
     sealed,
 )
 
@@ -57,11 +56,8 @@ class Poly:
     coeffs: tuple
     field: FieldConfig
 
-    def __init__(self, coeffs: Iterable = (), field: Optional[FieldConfig] = None):
-        raw = list(coeffs)
-        if field is None:
-            field = infer_field(raw)
-        lifted = [field.coerce(c) for c in raw]
+    def __init__(self, coeffs: Iterable = (), field: FieldConfig = RATIONALS):
+        lifted = [field.coerce(c) for c in coeffs]
         while lifted and not lifted[-1]:
             lifted.pop()
         object.__setattr__(self, "coeffs", tuple(lifted))

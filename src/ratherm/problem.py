@@ -22,7 +22,7 @@ import math
 from typing import Optional
 
 from .errors import BadIndex, DuplicateNodes, InvalidInput, TooLarge
-from .field import FieldConfig, Scalar, infer_field, sealed
+from .field import RATIONALS, FieldConfig, Scalar, sealed
 from .linalg import ExactMatrix
 from .polynomial import Poly, _box, _ints, _shift
 
@@ -48,7 +48,7 @@ class HermiteData:
     _master: Optional[ExactMatrix] = dataclasses.field(compare=False, repr=False)
     _view: Optional[tuple] = dataclasses.field(compare=False, repr=False)
 
-    def __init__(self, u, n_vec, v, k: int, field: Optional[FieldConfig] = None):
+    def __init__(self, u, n_vec, v, k: int, field: FieldConfig = RATIONALS):
         n_vec = tuple(int(x) for x in n_vec)
         if not n_vec:
             raise InvalidInput("need at least one node")
@@ -57,8 +57,6 @@ class HermiteData:
         n = sum(n_vec)
         if n > MAX_N:
             raise TooLarge(f"n = {n} exceeds the cap MAX_N = {MAX_N}")
-        if field is None:
-            field = infer_field(list(u) + [x for vi in v for x in vi])
         u = tuple(field.coerce(x) for x in u)
         v = tuple(tuple(field.coerce(x) for x in vi) for vi in v)
         if not (len(u) == len(n_vec) == len(v)):
@@ -281,12 +279,13 @@ def _residuals(data: HermiteData, sol: RationalSolution):
         yield (nums if p is None else [x % p for x in nums]), qA * qB * D, eB[0]
 
 
-def witness_nodes(data: HermiteData, B0: Poly) -> tuple[int, ...]:
-    """0-based node indices where the denominator B0 vanishes; B0 on ints,
-    one Horner pass of ``_shift`` per node."""
-    (c, d), p = _ints(data.field, B0.coeffs), data.field.p
+def witness_nodes(data: HermiteData, B: list) -> tuple[int, ...]:
+    """0-based node indices where the polynomial of the int coefficients B
+    (residues up to sign over GF(p)) vanishes: a root does not depend on
+    scale.  One Horner pass of ``_shift`` per node."""
+    p = data.field.p
     nodes = data._node_ints()
-    return tuple(i for i, (a, b, _, _) in enumerate(nodes) if not _shift(c, d, a, b, 1, p)[0][0])
+    return tuple(i for i, (a, b, _, _) in enumerate(nodes) if not _shift(B, 1, a, b, 1, p)[0][0])
 
 
 def rhip_check(data: HermiteData, sol: RationalSolution) -> bool:

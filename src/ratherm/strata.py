@@ -6,8 +6,9 @@ picture two independent ways: ``classify_by_rank`` reads the defect off one
 rank of the main matrix, and the witnesses and chart certificates off one
 elimination stopped after the defect-shrunken matrix, at every defect, and
 ``stratum_equations`` evaluates the closed-form chart polynomials, sliced
-from minor vectors, whose zero sets cut the strata out, reading witnesses
-with the solvers' node test.  Both emit a
+from int minor vectors, whose zero sets cut the strata out, reading
+witnesses with the solvers' node test.  Both conditions hold up to scale,
+so each classifier decides its certificates as zero tests.  Both emit a
 :class:`StratumReport`; agreement with the solver routes, and with the
 closed form of the first stratum on shape (2,1), is enforced by the test
 suite on every instance it touches.
@@ -31,7 +32,7 @@ from .field import Scalar
 from .linalg import ExactMatrix, _eliminate, rank
 from .polynomial import _box, _ints, _remainders, hermite_interpolant, product_F
 from .problem import HermiteData, _family_columns, build_matrix, master_matrix, witness_nodes
-from .solvers import chart_pair, find_defect, minor_vector, upper_certificate
+from .solvers import _minors, chart_pair, find_defect
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
     return {t: (-1) ** (n + t + 1) * V * psc.get(t - 1, field.zero) for t in range(lo, hi + 1)}
 
 
-def _chart_label(cert_low: Scalar, cert_up: Scalar) -> str:
+def _chart_label(cert_low: bool, cert_up: bool) -> str:
     if cert_low and cert_up:
         return "both"
     if cert_low:
@@ -188,18 +189,19 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     chart is evaluated at every node; vanishing at node i puts the point in
     that node's component of the stratum.  With both certificates nonzero
     the two charts give proportional denominators, so the lower one is
-    evaluated.
+    evaluated.  Beside a nonzero lower certificate, the upper one is the
+    last entry of the t = k+j-1 vector up to sign, which at j = 1 is the
+    lower chart's own vector.
     """
-    j, cert_low, mv = find_defect(data)
-    up = mv if j == 1 or not cert_low else minor_vector(data, data.k + j - 1)
-    cert_up = upper_certificate(data, j, up)
-    _, B = chart_pair(data, j, not cert_low, mv)
-    if B.is_zero:
+    j, upper, vec = find_defect(data)
+    up = vec if j == 1 or upper else _minors(data, data.k + j - 1)[0]
+    _, B = chart_pair(data, j, upper, vec)
+    if not any(B):
         raise InternalInconsistency(f"certified chart denominator is zero on {data!r}")
     witnesses = witness_nodes(data, B)
     return StratumReport(
         defect=j,
-        chart=_chart_label(cert_low, cert_up),
+        chart=_chart_label(not upper, bool(up[data.n])),
         unattainable=bool(witnesses),
         witnesses=witnesses,
     )

@@ -101,8 +101,8 @@ class IdentitySpec:
     seed: int = 0
 
 
-def check_identity(spec: IdentitySpec, field: FieldConfig = RATIONALS) -> dict:
-    """Evaluate both sides at sample_count random points; exact comparison.
+def check_identity(spec: IdentitySpec) -> dict:
+    """Evaluate both sides at sample_count random points of Q; exact comparison.
 
     The report carries every counterexample as a full problem document so a
     failure can be replayed through the CLI.
@@ -115,7 +115,7 @@ def check_identity(spec: IdentitySpec, field: FieldConfig = RATIONALS) -> dict:
     passes = 0
     failures = []
     for _ in range(spec.sample_count):
-        data = random_data(rng, spec.n_vec, spec.k, field)
+        data = random_data(rng, spec.n_vec, spec.k)
         left = spec.lhs(data)
         right = spec.rhs(data)
         if not (left - right):
@@ -124,8 +124,8 @@ def check_identity(spec: IdentitySpec, field: FieldConfig = RATIONALS) -> dict:
             failures.append(
                 {
                     "data": data.to_json_dict(),
-                    "lhs": field.format_scalar(left),
-                    "rhs": field.format_scalar(right),
+                    "lhs": RATIONALS.format_scalar(left),
+                    "rhs": RATIONALS.format_scalar(right),
                 }
             )
     return {

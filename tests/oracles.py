@@ -10,8 +10,10 @@ shrunken-matrix ranks the rank classifier once ran, kept to show that the
 one main rank gives the same defect; ``find_defect_ref`` is the ascending
 chart scan ``find_defect`` ran from j = 1, kept to show that starting at the
 main matrix's nullity returns the same values; ``defect_certificates`` is
-``find_defect``'s return with the upper certificate read as
-``stratum_equations`` reads it, in ``find_defect_ref``'s shape.
+``find_defect``'s defect and chart with both signed certificates read off
+``diagonal_minor`` and the chart's boxed ``minor_vector``, in
+``find_defect_ref``'s shape.  ``classify_minimal_ref`` is the node test of
+a minimal solution on field scalars.
 ``solve_kernel_ref`` is the kernel route on the shrunken matrix and
 ``classify_by_rank_ref`` the rank classifier on per-node ranks and
 determinant certificates, the routines the one-elimination versions
@@ -37,10 +39,11 @@ normalization, by the inverse leading coefficient.
 routines the int view, the one-pass check and the box-once pair replaced.
 
 ``matrix`` and ``rows`` build an ``ExactMatrix`` from rows of scalars and
-read them back; ``poly_one``, ``poly_add``, ``poly_sub`` and ``poly_pow``
-are the polynomial sums and powers of the tests.  The package has none of
-them: no CLI run builds a matrix from scalar rows, and ``Poly`` has ``*``
-only.
+read them back, and ``mul_vector`` is the matrix times a vector of
+scalars; ``poly_one``, ``poly_add``, ``poly_sub`` and ``poly_pow`` are the
+polynomial sums and powers of the tests.  The package has none of them:
+no CLI run builds or reads a matrix as scalar rows, and ``Poly`` has
+``*`` only.
 """
 
 import math
@@ -52,6 +55,9 @@ from ratherm import (
     HermiteData,
     MinimalSolution,
     Poly,
+    RationalSolution,
+    Solvable,
+    Unattainable,
     build_matrix,
     build_submatrix_i,
     classify_by_rank,
@@ -63,8 +69,8 @@ from ratherm import (
 )
 from ratherm.errors import DivisionByZero, InternalInconsistency, ShapeMismatch, TooLarge
 from ratherm.field import RATIONALS
-from ratherm.polynomial import _ints
-from ratherm.solvers import _classify_minimal, find_defect, upper_certificate
+from ratherm.polynomial import _box, _ints
+from ratherm.solvers import find_defect
 from ratherm.problem import master_matrix
 from ratherm.strata import StratumReport, _chart_label
 
@@ -82,7 +88,15 @@ def matrix(entries, field) -> ExactMatrix:
 
 def rows(M: ExactMatrix) -> list[list]:
     """The rows of M as lists of field scalars."""
-    return [list(M.row(i)) for i in range(M.r)]
+    return [_box(M.field, nums, den) for nums, den in zip(M.nums, M.dens)]
+
+
+def mul_vector(M: ExactMatrix, v) -> list:
+    """M times the vector v of field scalars (or ints), as field scalars."""
+    v = list(v)
+    if len(v) != M.c:
+        raise ShapeMismatch(f"vector of length {len(v)} times {M.r}x{M.c}")
+    return [sum((x * y for x, y in zip(row, v)), M.field.zero) for row in rows(M)]
 
 
 def poly_one(field) -> Poly:
@@ -164,12 +178,24 @@ def find_defect_ref(data: HermiteData):
 
 
 def defect_certificates(data: HermiteData):
-    """(j, cert_low, cert_up, mv): ``find_defect``'s values with
-    Delta_{k+j,k+j} read as ``stratum_equations`` reads it, off mv when mv
-    is the t = k+j-1 vector and off that vector otherwise."""
-    j, cert_low, mv = find_defect(data)
-    up = mv if j == 1 or not cert_low else minor_vector(data, data.k + j - 1)
-    return j, cert_low, upper_certificate(data, j, up), mv
+    """(j, cert_low, cert_up, mv): ``find_defect``'s defect j, the signed
+    certificates Delta_{k-j+1,k-j+1} (zero above m+1, where j > k) and
+    Delta_{k+j,k+j} by ``diagonal_minor``, and the boxed ``minor_vector`` of
+    the chart ``find_defect`` chose."""
+    j, upper, _ = find_defect(data)
+    k = data.k
+    cert_low = diagonal_minor(data, k - j + 1) if j <= k else data.field.zero
+    mv = minor_vector(data, k + j - 1 if upper else k - j + 1)
+    return j, cert_low, diagonal_minor(data, k + j), mv
+
+
+def classify_minimal_ref(data: HermiteData, minsol: MinimalSolution):
+    """The node test of a minimal solution on field scalars: unattainable
+    with the nodes where B0 vanishes, else solvable by (A0, B0)."""
+    wits = tuple(i for i, u in enumerate(data.u) if not evaluate_ref(minsol.B0, u))
+    if wits:
+        return Unattainable(minsol.kernel_dim, wits)
+    return Solvable(RationalSolution(minsol.A0, minsol.B0))
 
 
 def solve_kernel_ref(data: HermiteData):
@@ -190,7 +216,7 @@ def solve_kernel_ref(data: HermiteData):
     )
     if minsol.kernel_dim != d:
         raise InternalInconsistency(f"dimension law broken: {minsol.kernel_dim} != {d}")
-    return minsol, _classify_minimal(data, minsol)
+    return minsol, classify_minimal_ref(data, minsol)
 
 
 def _denominator_root_nodes(data: HermiteData, M: ExactMatrix, r: int) -> list[int]:
@@ -255,24 +281,24 @@ def brute_force_kernel(M: ExactMatrix) -> list[tuple]:
     """
     if M.c > MAX_BRUTE_COLS:
         raise TooLarge(f"brute-force kernel capped at {MAX_BRUTE_COLS} columns")
-    rows = [list(M.row(r)) for r in range(M.r)]
+    work = rows(M)
     pivot_of: dict[int, int] = {}
     used: set[int] = set()
     for c in range(M.c):
         pr = None
         for r in range(M.r - 1, -1, -1):
-            if r not in used and rows[r][c]:
+            if r not in used and work[r][c]:
                 pr = r
                 break
         if pr is None:
             continue
         used.add(pr)
         pivot_of[c] = pr
-        piv = rows[pr][c]
+        piv = work[pr][c]
         for r in range(M.r):
-            if r != pr and rows[r][c]:
-                factor = rows[r][c] / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+            if r != pr and work[r][c]:
+                factor = work[r][c] / piv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[pr])]
     basis = []
     for f in range(M.c):
         if f in pivot_of:
@@ -280,7 +306,7 @@ def brute_force_kernel(M: ExactMatrix) -> list[tuple]:
         vec = [M.field.zero] * M.c
         vec[f] = M.field.one
         for c, pr in pivot_of.items():
-            vec[c] = -(rows[pr][f] / rows[pr][c])
+            vec[c] = -(work[pr][f] / work[pr][c])
         basis.append(tuple(vec))
     return basis
 
@@ -532,4 +558,4 @@ def from_pair_ref(data: HermiteData, A0: Poly, B0: Poly) -> MinimalSolution:
     s0 = min(data.k - 1 - dA, data.n - data.k - dB)
     if s0 < 0 or s0 != int(s0):
         raise InternalInconsistency(f"minimal pair degrees ({dA}, {dB}) break the bounds")
-    return MinimalSolution(A0, B0, dA, dB, int(s0), int(s0) + 1)
+    return MinimalSolution(A0, B0, int(s0), int(s0) + 1)

@@ -218,8 +218,9 @@ def test_criterion_4_three_route_agreement():
         # chart proportionality when both certificates are nonzero
         if cert_low and cert_up:
             both_charts += 1
-            A_lo, B_lo = chart_pair(d, j, False, minor_vector(d, d.k - j + 1))
-            A_up, B_up = chart_pair(d, j, True, minor_vector(d, d.k + j - 1))
+            low, up = minor_vector(d, d.k - j + 1), minor_vector(d, d.k + j - 1)
+            A_lo, B_lo = (Poly(P, d.field) for P in chart_pair(d, j, False, low))
+            A_up, B_up = (Poly(P, d.field) for P in chart_pair(d, j, True, up))
             assert A_lo * B_up == A_up * B_lo
     assert solvable and unattainable and both_charts
     dt = time.perf_counter() - t0

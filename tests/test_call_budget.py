@@ -11,8 +11,8 @@ every ratherm module that binds it, so each elimination is seen, behind
 the public wrappers or not; ``determinant`` is spied on the same way.  The
 other counters wrap ``rank`` where ``strata`` imports it, ``_remainders`` in
 ``polynomial``, and ``_minors_and_rank`` both in ``linalg``, behind
-``signed_minors``, and where ``solvers`` imports it for ``minor_vector`` and
-``find_defect``'s read of the main matrix.
+``signed_minors``, and where ``solvers`` imports it for ``minor_vector``,
+``find_defect`` and the upper certificate ``stratum_equations`` reads.
 """
 
 import json
@@ -136,10 +136,10 @@ def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
     lower_only = 0
     for d in generic + draws + ZERO_NUMERATOR:
         calls.clear()
-        j, cert_low, _ = find_defect(d)
-        inner = 1 if j == 1 else 3 if j <= d.m + 1 and not cert_low else 2
+        j, upper, _ = find_defect(d)
+        inner = 1 if j == 1 else 3 if j <= d.m + 1 and upper else 2
         assert len(calls) == inner
-        lower_only += 2 <= j and bool(cert_low)
+        lower_only += 2 <= j and not upper
         calls.clear()
         eliminations.clear()
         solve_minors(d)
@@ -152,8 +152,8 @@ def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
     assert lower_only >= 20
     pinned = sample_stratum((4, 4, 4), 6, 4, False, 1, RAT)
     calls.clear()
-    j, cert_low, _ = find_defect(pinned)
-    assert j == 4 and cert_low and len(calls) == 2
+    j, upper, _ = find_defect(pinned)
+    assert j == 4 and not upper and len(calls) == 2
     calls.clear()
     assert find_defect_ref(pinned)[0] == 4 and len(calls) == 7
 

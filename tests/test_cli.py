@@ -21,6 +21,7 @@ from ratherm import (
     solve_kernel,
     taylor_prefix,
 )
+from ratherm import solvers
 from ratherm.cli import main
 from ratherm.field import MAX_DIGITS
 from ratherm.problem import MAX_N
@@ -219,6 +220,24 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_json(capsys, ["solve", "--input", path, "--method", "kernel"])
     assert code == 2
     assert "InternalInconsistency" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--method", "minors"], ["classify"]])
+def test_vanishing_certificates_at_the_nullity_exit_2(argv, tmp_path, capsys, monkeypatch):
+    """Minor vectors that keep their rank but lose every entry leave both
+    chart certificates zero at the defect: the minors route and the
+    equation classifier report an internal error, not a verdict."""
+    inner = solvers._minors_and_rank
+
+    def vanishing(M):
+        ints, scale, r = inner(M)
+        return [0] * len(ints), scale, r
+
+    monkeypatch.setattr(solvers, "_minors_and_rank", vanishing)
+    for doc in (GOLDEN_DOC, solvable_doc()):
+        code, out, err = run_json(capsys, argv + ["--input", write_doc(tmp_path, doc)])
+        assert (code, out) == (2, None)
+        assert json.loads(err)["kind"] == "InternalInconsistency"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from ratherm import (
     InvalidInput,
     MixedFields,
     PrimeFieldElement,
-    infer_field,
 )
 from ratherm.field import MAX_DIGITS, _check_digits, is_prime, parse_json_int
 
@@ -90,6 +89,8 @@ def test_mixed_moduli_rejected():
         PrimeFieldElement(1, 5) + PrimeFieldElement(1, 7)
     with pytest.raises(MixedFields):
         PrimeFieldElement(1, 5) * PrimeFieldElement(1, 7)
+    with pytest.raises(MixedFields):
+        GF5.coerce(PrimeFieldElement(1, 7))
 
 
 def test_require_characteristic():
@@ -99,16 +100,6 @@ def test_require_characteristic():
         GF5.require_characteristic((6,))
     with pytest.raises(CharacteristicTooSmall):
         FieldConfig.prime(3).require_characteristic((2, 4))
-
-
-def test_infer_field():
-    assert infer_field([Fraction(1), Fraction(2, 3)]) == RAT
-    assert infer_field([PrimeFieldElement(2, 13), Fraction(1)]) == GF13
-    assert infer_field([]) == RAT
-    # first non-int wins; clashes surface later, at coercion
-    assert infer_field([PrimeFieldElement(1, 5), PrimeFieldElement(1, 7)]) == GF5
-    with pytest.raises(MixedFields):
-        GF5.coerce(PrimeFieldElement(1, 7))
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))

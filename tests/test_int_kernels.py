@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    classify_minimal_ref,
     eea_ref,
     evaluate_ref,
     from_pair_ref,
@@ -45,7 +46,6 @@ from ratherm import (
 )
 from ratherm.polynomial import _eea_table, _ints, _pseudo_step, _remainders
 from ratherm.problem import RationalSolution, witness_nodes
-from ratherm.solvers import _classify_minimal
 
 RAT = FieldConfig.rationals()
 FIELDS = [RAT, FieldConfig.prime(5), FieldConfig.prime(7), FieldConfig.prime(1000003)]
@@ -116,7 +116,7 @@ def test_whip_residual_and_witness_nodes_match_reference(inst):
     data, sol = inst
     assert whip_residual(data, sol) == whip_residual_ref(data, sol)
     want = tuple(i for i, ui in enumerate(data.u) if not evaluate_ref(sol.B, ui))
-    assert witness_nodes(data, sol.B) == want
+    assert witness_nodes(data, _ints(data.field, sol.B.coeffs)[0]) == want
 
 
 @settings(max_examples=150)
@@ -235,7 +235,7 @@ def test_eea_route_matches_eea_table_cut_on_golden_documents():
         else:
             cut = next(row for row in eea_ref(F, G) if row.remainder.degree < data.k)
             R, T = cut.remainder, cut.bezout_t
-        assert solve_eea(data) == _classify_minimal(data, from_pair_ref(data, R, T))
+        assert solve_eea(data) == classify_minimal_ref(data, from_pair_ref(data, R, T))
 
 
 def nonzero_polys(field, min_degree=0, max_degree=6):

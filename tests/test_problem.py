@@ -26,7 +26,7 @@ from ratherm import (
 from ratherm.errors import BadIndex
 from ratherm.problem import master_matrix
 
-from oracles import matrix, poly_add, poly_pow, rows
+from oracles import matrix, mul_vector, poly_add, poly_pow, rows
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -100,9 +100,6 @@ def test_frozen_values_refuse_any_assignment(obj, field_name, which):
 def test_field_inference():
     d = HermiteData((Fraction(1, 2), 3), (1, 1), ((1,), (0,)), 1)
     assert d.field == RAT
-    a = GF13.from_int(4)
-    d2 = HermiteData((a, 3), (1, 1), ((1,), (0,)), 1)
-    assert d2.field == GF13
 
 
 @pytest.mark.parametrize("field", [RAT, GF13], ids=["Q", "GF13"])
@@ -163,7 +160,7 @@ def check_against_taylor(d, alpha, beta):
     field = d.field
     m = build_matrix(d, alpha, beta)
     assert (m.r, m.c) == (d.n, alpha + beta + 2)
-    row = 0
+    entries, row = rows(m), 0
     for i in range(d.l):
         ui = d.u[i]
         # target Taylor polynomial sum_j v_ij (x - u_i)^j
@@ -173,11 +170,11 @@ def check_against_taylor(d, alpha, beta):
         for j in range(d.n_vec[i]):
             for l in range(alpha + 1):
                 mono = Poly([0] * l + [1], field)
-                assert m.row(row)[l] == taylor_prefix(mono, ui, j + 1)[j]
+                assert entries[row][l] == taylor_prefix(mono, ui, j + 1)[j]
             for l in range(beta + 1):
                 mono = Poly([0] * l + [1], field)
                 want = -taylor_prefix(V * mono, ui, j + 1)[j]
-                assert m.row(row)[alpha + 1 + l] == want
+                assert entries[row][alpha + 1 + l] == want
             row += 1
 
 
@@ -226,7 +223,7 @@ def test_residual_matches_matrix_action():
         d = random_data(rng, shape, k)
         m = build_matrix(d, d.k - 1, d.n - d.k)
         vec = [Fraction(rng.randint(-5, 5)) for _ in range(d.n + 1)]
-        image = m.mul_vector(vec)
+        image = mul_vector(m, vec)
         pair = RationalSolution(Poly(vec[: d.k], RAT), Poly(vec[d.k :], RAT))
         res = whip_residual(d, pair)
         row = 0

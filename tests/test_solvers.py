@@ -39,20 +39,23 @@ from ratherm import (
 )
 from ratherm.linalg import _eliminate, _kernel_vector, determinant
 from ratherm.problem import witness_nodes
-from ratherm.solvers import _classify_minimal, chart_pair, find_defect
+from ratherm.solvers import chart_pair, find_defect
 
 from oracles import (
     classify_by_rank_ref,
+    classify_minimal_ref,
     defect_certificates,
     divmod_ref,
     eea_ref,
+    evaluate_ref,
     find_defect_ref,
     from_pair_ref,
+    mul_vector,
     poly_one,
     poly_pow,
     solve_kernel_ref,
 )
-from test_golden_cli import _low_entropy_documents
+from test_golden_cli import DOCUMENTS, _low_entropy_documents
 
 RAT = FieldConfig.rationals()
 GF5 = FieldConfig.prime(5)
@@ -95,7 +98,7 @@ def test_golden_kernel_route(golden):
     minsol, verdict = solve_kernel(golden)
     assert minsol.A0 == Poly((-2, 1), RAT)
     assert minsol.B0 == Poly((-2, 1), RAT)
-    assert (minsol.dA, minsol.dB, minsol.s0, minsol.kernel_dim) == (1, 1, 0, 1)
+    assert (minsol.A0.degree, minsol.B0.degree, minsol.s0, minsol.kernel_dim) == (1, 1, 0, 1)
     assert isinstance(verdict, Unattainable)
     assert not verdict.solvable
     assert verdict.stratum_j == 1
@@ -119,9 +122,10 @@ def test_golden_minors_route(golden):
 
 
 def test_golden_chart_witnesses(golden):
-    minsol, _ = solve_minors(golden)
-    assert witness_nodes(golden, minsol.B0) == (1,)
-    assert witness_nodes(golden, Poly((1,), RAT)) == ()
+    j, upper, vec = find_defect(golden)
+    _, B = chart_pair(golden, j, upper, vec)
+    assert witness_nodes(golden, B) == (1,)
+    assert witness_nodes(golden, [1]) == ()
 
 
 # ------------------------------------------------------- solvable instances
@@ -206,7 +210,7 @@ def test_minor_vector_annihilates_its_matrix():
                 continue
             M = build_matrix(d, t - 1, d.n - t)
             mv = minor_vector(d, t)
-            assert M.mul_vector(list(mv)) == [Fraction(0)] * d.n
+            assert mul_vector(M, mv) == [Fraction(0)] * d.n
 
 
 def test_diagonal_minor_matches_vector_diagonal():
@@ -254,8 +258,9 @@ def test_charts_are_proportional_when_both_certified():
             if not (cert_low and cert_up):
                 continue
             seen += 1
-            A_lo, B_lo = chart_pair(d, j, False, minor_vector(d, d.k - j + 1))
-            A_up, B_up = chart_pair(d, j, True, minor_vector(d, d.k + j - 1))
+            low, up = minor_vector(d, d.k - j + 1), minor_vector(d, d.k + j - 1)
+            A_lo, B_lo = (Poly(P, RAT) for P in chart_pair(d, j, False, low))
+            A_up, B_up = (Poly(P, RAT) for P in chart_pair(d, j, True, up))
             assert A_lo * B_up == A_up * B_lo
             assert not (A_lo.is_zero and B_lo.is_zero)
     assert seen >= 10  # generic data certifies both charts
@@ -340,9 +345,9 @@ def test_find_defect_returns_the_certified_charts_vector():
     certificate alone or both, tell them apart."""
     split = 0
     for d in _sign_law_instances():
-        j, cert_low, mv = find_defect(d)
-        t = d.k - j + 1 if cert_low else d.k + j - 1
-        assert mv == minor_vector(d, t)
+        j, upper, vec = find_defect(d)
+        t = d.k + j - 1 if upper else d.k - j + 1
+        assert _proportional(vec, minor_vector(d, t))
         split += 2 <= j <= d.m + 1
     assert split >= 30
     for d, defect in _upper_only_instances():
@@ -350,6 +355,45 @@ def test_find_defect_returns_the_certified_charts_vector():
         assert (j, cert_low) == (defect, 0) and 2 <= j <= d.m + 1 and cert_up
         assert mv == minor_vector(d, d.k + j - 1)
         assert solve_minors(d)[1].solvable
+
+
+def _proportional(ints, boxed) -> bool:
+    """boxed is c times the int vector ints, for one nonzero scalar c, or
+    both are zero."""
+    i0 = next((i for i, x in enumerate(ints) if x), None)
+    if i0 is None:
+        return not any(boxed)
+    return (
+        len(ints) == len(boxed)
+        and bool(boxed[i0])
+        and not any(y * ints[i0] - boxed[i0] * x for x, y in zip(ints, boxed))
+    )
+
+
+def test_int_chart_path_matches_boxed_reference():
+    """The int chart path (``find_defect``, ``chart_pair``, ``witness_nodes``)
+    gives the defect, chart and witnesses of the ascending scan
+    ``find_defect_ref``, the slices of its boxed minor vector taken here,
+    and a node test on field scalars; and its slices are the boxed ones up
+    to scale.  On the golden documents and on draws below and above m+1."""
+    instances = [HermiteData.from_json_dict(doc) for doc in DOCUMENTS]
+    instances += _sign_law_instances() + [d for d, _ in _upper_only_instances()]
+    beyond = upper_only = 0
+    for d in instances:
+        k, n = d.k, d.n
+        j, upper, vec = find_defect(d)
+        A, B = chart_pair(d, j, upper, vec)
+        j_ref, cert_low, _, mv = find_defect_ref(d)
+        if cert_low:
+            A_ref, B_ref = mv[: k - j + 1], mv[k - j + 1 : n - 2 * j + 3]
+        else:
+            A_ref, B_ref = mv[: max(k - j + 1, 0)], mv[k + j - 1 :]
+        wits = tuple(i for i, u in enumerate(d.u) if not evaluate_ref(Poly(B_ref, d.field), u))
+        assert (j, upper, witness_nodes(d, B)) == (j_ref, not cert_low, wits)
+        assert len(A) == len(A_ref) and _proportional(A + B, list(A_ref) + list(B_ref))
+        beyond += j > d.m + 1
+        upper_only += upper and 2 <= j <= d.m + 1
+    assert beyond >= 15 and upper_only >= 4
 
 
 @pytest.mark.parametrize("d,defect,wits", DEGENERATE, ids=["n3", "n4", "split"])
@@ -407,7 +451,7 @@ def test_free_columns_of_the_main_matrix_are_a_run_from_deg_B0():
         minsol, _ = solve_minors(d)
         M = build_matrix(d, k - 1, n - k)
         rows, pivots, last, _, _ = _eliminate(M)
-        start = k + minsol.dB
+        start = k + minsol.B0.degree
         assert [c for c in range(n + 1) if c not in pivots] == list(range(start, start + minsol.kernel_dim))
         vec = _kernel_vector(M, rows, pivots, last, start)
         assert MinimalSolution.from_pair(d, vec[:k], vec[k:]) == minsol
@@ -455,9 +499,9 @@ def test_from_pair_guards(golden):
 
 
 def test_witness_nodes_helper(golden):
-    assert witness_nodes(golden, Poly((-2, 1), RAT)) == (1,)
-    assert witness_nodes(golden, Poly((-1, 1), RAT)) == (0,)
-    assert witness_nodes(golden, poly_one(RAT)) == ()
+    assert witness_nodes(golden, [-2, 1]) == (1,)
+    assert witness_nodes(golden, [3, -3, 0]) == (0,)
+    assert witness_nodes(golden, [1]) == ()
 
 
 # ------------------------------------------------------------ route agreement
@@ -584,5 +628,5 @@ def test_int_euclid_matches_fraction_table(case):
         else:
             row = next(r for r in rows if r.remainder.degree <= k - 1)
             R, T = row.remainder, row.bezout_t
-        expected = _classify_minimal(d, from_pair_ref(d, R, T))
+        expected = classify_minimal_ref(d, from_pair_ref(d, R, T))
         assert solve_eea(d) == expected

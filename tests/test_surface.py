@@ -7,18 +7,22 @@ its own body aside) refers to it by name, when ``README.md`` documents it in
 a code span or a fenced block, or when ``perfbench/`` uses it.  Docstring
 mentions and README prose do not count.  Test oracles live in ``tests/``.
 
-Operators and other slots are called by syntax, not by name, so for them
-the guard is a run: every ``def __x__`` in a class body, and every aliased
-slot, must be called while the golden CLI corpus replays, bar the
-reasoned entries of ``UNREACHED_SLOTS``.
+A name is not a call, and operators and other slots are called by syntax,
+so the guard is also a run: every function and method of ``src/ratherm``,
+nested ones and slots included, and every name of an aliased slot, must be
+called while the golden CLI corpus and the calls of ``BAD_INPUT`` replay,
+bar the functions ``perfbench/spans.py`` traces and the reasoned entries
+of ``UNREACHED``.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -112,37 +116,62 @@ def test_every_public_method_has_a_caller():
     assert orphans == [], f"methods reached only by tests, delete them: {orphans}"
 
 
-# Slots no CLI run reaches that stay, each for its reason.
-UNREACHED_SLOTS = {
+# Functions and methods no CLI run reaches that stay, each for its reason;
+# the functions ``perfbench/spans.py`` traces stay as well (``_traced``).
+UNREACHED = {
+    "field.sealed": "a class decorator, run once at import",
+    "field._refuse": "the immutability guard of sealed classes",
     "field.PrimeFieldElement.__post_init__": "certifies the modulus of a directly built element",
     "linalg.ExactMatrix.__setattr__": "the immutability guard",
     "polynomial.Poly.__bool__": "without it every Poly would be truthy",
     "field.FieldConfig.__str__": "formats error messages for rejected input",
 }
 
+# Calls on bad input, beside the corpus: a bad flag, an over-long literal, a
+# composite modulus.
+_DOC = '{"field": "Q", "k": 1, "nodes": [{"u": %s, "values": [1]}]}'
+BAD_INPUT = (
+    (["solve", "--method", "bogus"], _DOC % 0),
+    (["solve"], _DOC % f'"{"1" * 4301}"'),
+    (["classify", "--field", "p:15"], _DOC % 0),
+)
 
-def _class_slots():
-    """Qualified name -> (class, slot name, aliased) for every ``def __x__``
-    in a class body of src/ratherm and every aliased slot ``__x__ = __y__``,
-    its target marked aliased too.  Dataclass-generated methods are not in
-    a class body, so they are not here."""
-    slots = {}
+
+def _traced():
+    return {f"{layer}.{name}" for layer, names in _spans().LAYERS.items() for name in names}
+
+
+def _functions():
+    """Qualified names of every function and method of src/ratherm, nested
+    ones included: the code objects a compile of each file holds, bar class
+    bodies, lambdas and comprehensions."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                out.add(f"{path.stem}.{code.co_qualname}")
+    return out
+
+
+def _aliases():
+    """Qualified name -> (class, name) for every aliased slot ``__x__ = __y__``
+    of a class body in src/ratherm, its target included: one code object
+    serves the whole group, so each name is told apart by a wrapper."""
+    out = {}
     for module, body in _module_bodies().items():
         for top in body:
             if not isinstance(top, ast.ClassDef):
                 continue
             cls = getattr(importlib.import_module(f"ratherm.{module}"), top.name)
-            aliased = {
-                name
-                for node in top.body
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
-                for name in [node.value.id] + [t.id for t in node.targets if isinstance(t, ast.Name)]
-            }
-            names = {node.name for node in top.body if isinstance(node, ast.FunctionDef)} | aliased
-            for name in names:
-                if re.fullmatch(r"__\w+__", name):
-                    slots[f"{module}.{top.name}.{name}"] = (cls, name, name in aliased)
-    return slots
+            for node in top.body:
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                    targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    for name in [node.value.id] + targets:
+                        out[f"{module}.{top.name}.{name}"] = (cls, name)
+    return out
 
 
 def _slot_wrapper(fn, qualname):
@@ -155,32 +184,45 @@ def _slot_wrapper(fn, qualname):
     return slot
 
 
-def _reached_slots(slots):
-    """The qualified names among slots that a replay of every case of the
-    golden CLI corpus calls, seen by a profile hook.  An aliased slot shares
-    its code object with its target, so each name of an alias group gets its
-    own wrapper for the run."""
+def _reached(aliases):
+    """The qualified names of src/ratherm functions that a replay of every
+    case of the golden CLI corpus, and of ``BAD_INPUT``, calls, seen by a
+    profile hook: by file and ``co_qualname``, and for an alias group by the
+    wrapper of each name.  Cached functions are cleared first, so that a
+    call earlier in the session does not hide them from the replay."""
     from test_golden_cli import CASES, DOCUMENTS, run_cli
 
-    codes, saved = {}, []
-    for qualname, (cls, name, aliased) in slots.items():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ratherm."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+    wrappers, saved = {}, []
+    for qualname, (cls, name) in aliases.items():
         fn = cls.__dict__[name]
-        if aliased:
-            saved.append((cls, name, fn))
-            fn = _slot_wrapper(fn, qualname)
-            setattr(cls, name, fn)
-        codes[fn.__code__] = qualname
+        saved.append((cls, name, fn))
+        wrapper = _slot_wrapper(fn, qualname)
+        setattr(cls, name, wrapper)
+        wrappers[wrapper.__code__] = qualname
+    grouped = {fn.__code__ for _, _, fn in saved}
+    stems = {str(path.resolve()): path.stem for path in PACKAGE.glob("*.py")}
     reached = set()
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            reached.add(codes[frame.f_code])
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in wrappers:
+            reached.add(wrappers[code])
+        elif code not in grouped and code.co_filename in stems:
+            reached.add(f"{stems[code.co_filename]}.{code.co_qualname}")
 
+    calls = [(c["argv"], "" if c["doc"] is None else json.dumps(DOCUMENTS[c["doc"]])) for c in CASES]
     sys.setprofile(hook)
     try:
-        for case in CASES:
-            text = "" if case["doc"] is None else json.dumps(DOCUMENTS[case["doc"]])
-            run_cli(case["argv"], text)
+        for argv, text in calls + list(BAD_INPUT):
+            run_cli(argv, text)
     finally:
         sys.setprofile(None)
         for cls, name, fn in saved:
@@ -188,13 +230,14 @@ def _reached_slots(slots):
     return reached
 
 
-def test_every_slot_is_reached_by_a_cli_run(monkeypatch):
+def test_every_function_is_reached_by_a_cli_run(monkeypatch):
     monkeypatch.delenv("RATHERM_SEED", raising=False)
-    slots = _class_slots()
-    stale = sorted(set(UNREACHED_SLOTS) - set(slots))
-    assert stale == [], f"allowlisted slots no longer in src/ratherm: {stale}"
-    reached = _reached_slots(slots)
-    unreached = sorted(set(slots) - reached - set(UNREACHED_SLOTS))
-    assert unreached == [], f"slots no CLI run reaches, delete them: {unreached}"
-    allowed_but_reached = sorted(reached & set(UNREACHED_SLOTS))
-    assert allowed_but_reached == [], f"allowlisted slots a CLI run reaches: {allowed_but_reached}"
+    aliases = _aliases()
+    names = _functions() | set(aliases)
+    stale = sorted(set(UNREACHED) - names)
+    assert stale == [], f"allowlisted functions no longer in src/ratherm: {stale}"
+    reached = _reached(aliases)
+    unreached = sorted(names - reached - set(UNREACHED) - _traced())
+    assert unreached == [], f"functions no CLI run reaches, delete them: {unreached}"
+    allowed_but_reached = sorted(reached & set(UNREACHED))
+    assert allowed_but_reached == [], f"allowlisted functions a CLI run reaches: {allowed_but_reached}"
