@@ -39,9 +39,9 @@ from .errors import (
 )
 from .field import RATIONALS, FieldConfig, parse_json_int
 from .polynomial import Poly, _eea_table, _ints, gcd, hermite_interpolant, product_F
-from .problem import HermiteData, RationalSolution, build_matrix, rhip_check
+from .problem import HermiteData, RationalSolution, _family_columns, master_matrix, rhip_check
 from .solvers import MinimalSolution, minor_vector, solve_eea, solve_kernel, solve_minors
-from .strata import classify_by_rank, diagonal_window, stratum_equations
+from .strata import classify_by_rank, diagonal_window, stratum_equations, window_chart
 from .verify import check_identity, paper_identity_catalog, sample_stratum
 
 EXIT_OK = 0
@@ -206,6 +206,10 @@ def cmd_classify(args, data: HermiteData) -> int:
         and by_rank.witnesses == by_eq.witnesses
     )
     window = diagonal_window(data)
+    if window_chart(data, window) != (min(by_eq.defect, data.m + 2), by_eq.chart):
+        raise InternalInconsistency(
+            f"the diagonal window's defect and chart disagree with the equations' on {data!r}"
+        )
     out = {
         "rank": by_rank.to_json_dict(data, window),
         "equations": by_eq.to_json_dict(data, window),
@@ -237,11 +241,12 @@ def cmd_minors(args, data: HermiteData) -> int:
     table = {}
     pretty = []
     vectors = {t: minor_vector(data, t) for t in range(t_min, t_max + 1)}
+    master = master_matrix(data)
     for t, mv in vectors.items():
-        # the matrix's int rows against the printed vector, cleared to ints
-        ints = _ints(data.field, mv)[0]
-        M = build_matrix(data, t - 1, n - t)
-        dots = (sum(x * y for x, y in zip(row, ints)) for row in M.nums)
+        # the matrix's int rows, read in the master, against the printed
+        # vector, cleared to ints
+        ints, cols = _ints(data.field, mv)[0], _family_columns(data, t - 1, n - t)
+        dots = (sum(row[c] * x for c, x in zip(cols, ints)) for row in master.nums)
         annihilates = not any(x % p if p else x for x in dots)
         table[str(t)] = {
             "values": {str(i): fmt(x) for i, x in enumerate(mv, 1)},

@@ -16,7 +16,7 @@ column i sits at position i-1.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import InternalInconsistency, ShapeMismatch
 from .field import FieldConfig, Scalar
@@ -55,10 +55,10 @@ class ExactMatrix:
 
 
 def _eliminate(
-    M: ExactMatrix, stop: Optional[int] = None
+    M: ExactMatrix, halt: bool = False
 ) -> tuple[list[list[int]], list[int], int, bool, int]:
-    """One forward elimination over the int rows of M, on its columns below
-    ``stop`` (all of them by default).
+    """One forward elimination over the int rows of M; with ``halt``, it
+    stops at the first column that gets no pivot.
 
     Each row is first put in lowest terms (a slice may not need all of its
     row's denominator); ``scale`` is the product of the denominators left.
@@ -72,9 +72,9 @@ def _eliminate(
     f != 0 becomes x - f*y, and prev is the product of the pivots.  Columns
     with no nonzero entry at or below the current row are skipped.  Pivot
     row i holds the i-th pivot (1 over GF(p)) in column pivots[i], with
-    stale entries left of it.  A row below the last pivot is, from column
-    ``stop`` on, a nonzero multiple of its row of the Schur complement of
-    the pivot block.
+    stale entries left of it.  A halted elimination is that of the prefix
+    before its gap; a row below the last pivot is then, from the gap on, a
+    nonzero multiple of its row of the Schur complement of the pivot block.
 
     Returns (rows, pivots, last_pivot, parity, scale).  On the pivot
     columns, the numerator rows have determinant (-1)^parity * last_pivot,
@@ -87,12 +87,12 @@ def _eliminate(
     base = [1] * M.r
     pivots: list[int] = []
     prev, parity = 1, False
-    for col in range(M.c if stop is None else stop):
+    for col in range(M.c):
         k = len(pivots)
-        if k == M.r:
-            break
         piv = next((i for i in range(k, M.r) if rows[i][col]), None)
         if piv is None:
+            if halt or k == M.r:
+                break
             continue
         if piv != k:
             rows[k], rows[piv], base[k], base[piv] = rows[piv], rows[k], base[piv], base[k]

@@ -2,16 +2,18 @@
 
 The unattainable set decomposes by defect j into strata of odd codimension
 2j-1, each a union of per-node components.  This module re-derives that
-picture two independent ways: ``classify_by_rank`` reads the defect off one
-rank of the main matrix, and the witnesses and chart certificates off one
-elimination stopped after the defect-shrunken matrix, at every defect, and
+picture two independent ways: ``classify_by_rank`` reads the defect, the
+witnesses and both chart certificates off one elimination of the main
+matrix's columns in shrink order, halted at its first gap, and
 ``stratum_equations`` evaluates the closed-form chart polynomials, sliced
 from int minor vectors, whose zero sets cut the strata out, reading
-witnesses with the solvers' node test.  Both conditions hold up to scale,
-so each classifier decides its certificates as zero tests.  Both emit a
-:class:`StratumReport`; agreement with the solver routes, and with the
-closed form of the first stratum on shape (2,1), is enforced by the test
-suite on every instance it touches.
+witnesses with the solvers' node test.  Each classifier reads its
+certificates off the degree law of the minimal pair (A0, B0): the lower one
+is nonzero exactly when deg A0 = k-j, the upper one exactly when deg B0 =
+n-k-j+1.  Both emit a :class:`StratumReport`; agreement with the solver
+routes, and with the closed form of the first stratum on shape (2,1), is
+enforced by the test suite on every instance it touches, and
+``window_chart`` reads a third (defect, chart) off the display window.
 
 The display window Delta_{t,t} = (-1)^(n+t+1) prod_{i<j} (u_j - u_i)^(n_i
 n_j) psc_{t-1}(F, G) comes from one remainder sequence of (F, G), by
@@ -29,10 +31,10 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency
 from .field import Scalar
-from .linalg import ExactMatrix, _eliminate, rank
+from .linalg import ExactMatrix, _eliminate
 from .polynomial import _box, _ints, _remainders, hermite_interpolant, product_F
-from .problem import HermiteData, _family_columns, build_matrix, master_matrix, witness_nodes
-from .solvers import _minors, chart_pair, find_defect
+from .problem import HermiteData, master_matrix, witness_nodes
+from .solvers import chart_pair, find_defect
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,20 @@ def diagonal_window(data: HermiteData) -> dict[int, Scalar]:
     return {t: (-1) ** (n + t + 1) * V * psc.get(t - 1, field.zero) for t in range(lo, hi + 1)}
 
 
+def window_chart(data: HermiteData, window: dict[int, Scalar]) -> tuple[int, str]:
+    """(defect, chart) off ``diagonal_window``, the defect capped at m+2: the
+    first j with Delta_{k-j+1,k-j+1} or Delta_{k+j,k+j} nonzero, and which.
+    Up to m+1 both lie in the window, bar Delta_{n+1,n+1}, a confluent
+    Vandermonde determinant and so nonzero; above m+1 every entry vanishes
+    and only the upper chart exists."""
+    k, n = data.k, data.n
+    for j in range(1, data.m + 2):
+        low, up = bool(window[k - j + 1]), k + j > n or bool(window[k + j])
+        if low or up:
+            return j, _chart_label(low, up)
+    return data.m + 2, "upper"
+
+
 def _chart_label(cert_low: bool, cert_up: bool) -> str:
     if cert_low and cert_up:
         return "both"
@@ -105,78 +121,55 @@ def _chart_label(cert_low: bool, cert_up: bool) -> str:
     raise InternalInconsistency("both chart certificates vanish at the defect")
 
 
-def _shrunken_verdict(data: HermiteData, d: int) -> tuple[tuple[int, ...], bool, bool]:
-    """Witnesses and the nonvanishing of both chart certificates at defect
-    d, off one elimination stopped after the d-shrunken matrix.
-
-    C, the (lo-1, n-k-d) matrix with lo = max(k-d, 0), has full column rank
-    c = lo + n-k-d+1: the main kernel is the multiples of the minimal pair
-    (A0, B0), and deg A0 = k-d or deg B0 = n-k-d+1.  Its columns come
-    first, then, when d <= k, the right columns n-k-d+1 .. n-k+d-1
-    completing it to the square matrix of Delta_{k-d+1,k-d+1}, then the
-    left columns lo .. k+d-2 completing it to that of Delta_{k+d,k+d}, then
-    one unit column e_r per node, r the last row of its block.  Past C's c
-    pivots, w = n-c rows remain, each a nonzero multiple of a row of the
-    Schur complement of C.  B0(u_i) = 0 exactly when (A0, B0) / (x - u_i),
-    of C's degrees, meets every condition but row r of node i, that is when
-    deleting row r drops the rank of C, that is when e_r lies in C's column
-    space and its column vanishes on those rows.  A certificate is nonzero
-    exactly when its w-square block there has full rank (Sylvester's
-    identity; Bareiss 1968).  Up to m+1, d <= k and w = 2d-1; above m+1,
-    d > k, A0 = 0, C has right columns only, w = k+d-1, and there is no
-    lower chart.
-    """
-    k, n, field = data.k, data.n, data.field
-    lo = max(k - d, 0)
-    c = lo + n - k - d + 1
-    w = n - c
-    lower = list(range(2 * n + 2 - k - d, 2 * n + 1 - k + d)) if d <= k else []
-    cols = _family_columns(data, lo - 1, n - k - d) + lower + list(range(lo, k + d - 1))
-    master, ends = master_matrix(data), list(itertools.accumulate(data.n_vec))
-    nums = [
-        [row[j] for j in cols] + [den if r == e - 1 else 0 for e in ends]
-        for r, (row, den) in enumerate(zip(master.nums, master.dens))
-    ]
-    M = ExactMatrix.from_ints(nums, master.dens, len(cols) + data.l, field)
-    rows, pivots, _, _, _ = _eliminate(M, c)
-    if len(pivots) != c:
-        raise InternalInconsistency(
-            f"the {d}-shrunken matrix has rank {len(pivots)} < {c} on {data!r}"
-        )
-    tail = [row[c:] for row in rows[c:]]
-
-    def full_rank(at: int) -> bool:
-        block = [row[at : at + w] for row in tail]
-        return rank(ExactMatrix.from_ints(block, [1] * w, w, field)) == w
-
-    units = len(cols) - c
-    witnesses = tuple(i for i in range(data.l) if not any(row[units + i] for row in tail))
-    return witnesses, bool(lower) and full_rank(0), full_rank(len(lower))
-
-
 def classify_by_rank(data: HermiteData) -> StratumReport:
-    """Rank-only classifier: one rank of the main matrix, one stopped
-    elimination, and at most two tail ranks, at every defect.
+    """Rank-only classifier: one elimination of the main matrix's columns in
+    shrink order, halted at the first gap, at every defect.
 
-    The defect is the kernel dimension of the main (k-1, n-k) matrix,
-    (n+1) - rank.  Shrinking both degree bounds by j drops columns, so the
-    j-shrunken matrix is a column subset of the (j-1)-shrunken one: full
-    column rank is monotone in j, and it holds exactly for j >= defect, so
-    the one main rank already decides the kernel of every shrunken matrix.
+    C_j, the (k-1-j, n-k-j) member (no left column past j = k), has kernel
+    C(x) (A0, B0) over deg C < d-j, d the defect: full column rank exactly
+    for j >= d.  The columns of C_J, J = n-k+1, come first, then for j =
+    J-1 down to 0 the pair C_j minus C_{j+1}: left column k-j-1 when j < k,
+    then right column n-k-j; then one unit column e_r per node, r the last
+    row of its block.  So every column of C_d pivots and the gap lies in
+    the pair of d.  Past C_d's c pivots the pair's Schur complements S_L,
+    S_R span rank 1, a S_L + b S_R = 0 with a = A0's coefficient of x^(k-d)
+    and b = B0's of x^(n-k-d+1): the upper certificate (b != 0) is nonzero
+    exactly when the left column pivots, the lower one (a != 0) exactly
+    when the right column is nonzero on rows[c:].  Above m+1, d > k, the
+    pair is the right column alone, A0 = 0 and b != 0: no lower chart.
 
-    The data is unattainable through node i exactly when the minimal
-    denominator vanishes at u_i, that is when deleting the last row of node
-    i's block drops the rank of the defect-shrunken matrix; one elimination
-    stopped after that matrix decides it for every node, and both chart
-    certificates (``_shrunken_verdict``).  Above m+1, where the minimal
-    numerator is zero, the lower chart does not exist.
+    B0(u_i) = 0 exactly when (A0, B0) / (x - u_i), of C_d's degrees, meets
+    every condition but row r of node i, that is when deleting row r drops
+    the rank of C_d, that is when e_r lies in C_d's column space and its
+    column vanishes on rows[c:].  A pivot in the pair acts on rows[c:]
+    invertibly, so both zero tests on rows[c:] read the same at the halt.
     """
     k, n = data.k, data.n
-    defect = (n + 1) - rank(build_matrix(data, k - 1, n - k))
-    witnesses, cert_low, cert_up = _shrunken_verdict(data, defect)
+    J = n - k + 1
+    size = [max(k - j, 0) + n - k - j + 1 for j in range(J + 1)]  # |C_j|
+    order = list(range(size[J]))
+    for j in range(J - 1, -1, -1):
+        order += [k - j - 1] * (j < k) + [2 * n + 1 - k - j]
+    master, ends = master_matrix(data), list(itertools.accumulate(data.n_vec))
+    nums = [
+        [row[c] for c in order] + [den if r == e - 1 else 0 for e in ends]
+        for r, (row, den) in enumerate(zip(master.nums, master.dens))
+    ]
+    M = ExactMatrix.from_ints(nums, master.dens, n + 1 + data.l, data.field)
+    rows, pivots, _, _, _ = _eliminate(M, halt=True)
+    g = len(pivots)
+    if pivots != list(range(g)) or g < size[J] or any(row[g] for row in rows[g:]):
+        raise InternalInconsistency(
+            f"halted elimination has pivots {pivots}, not a run up to a gap "
+            f"in one shrink pair, on {data!r}"
+        )
+    d = next(j for j in range(1, J + 1) if size[j] <= g)
+    c = size[d]
+    witnesses = tuple(i for i in range(data.l) if not any(row[n + 1 + i] for row in rows[c:]))
+    cert_low = d <= k and any(row[c + 1] for row in rows[c:])
     return StratumReport(
-        defect=defect,
-        chart=_chart_label(cert_low, cert_up),
+        defect=d,
+        chart=_chart_label(cert_low, d > k or g > c),
         unattainable=bool(witnesses),
         witnesses=witnesses,
     )
@@ -189,19 +182,18 @@ def stratum_equations(data: HermiteData) -> StratumReport:
     chart is evaluated at every node; vanishing at node i puts the point in
     that node's component of the stratum.  With both certificates nonzero
     the two charts give proportional denominators, so the lower one is
-    evaluated.  Beside a nonzero lower certificate, the upper one is the
-    last entry of the t = k+j-1 vector up to sign, which at j = 1 is the
-    lower chart's own vector.
+    evaluated.  Beside a nonzero lower certificate, the upper one is
+    nonzero exactly when deg B0 = n-k-j+1, that is when the top entry of
+    the lower chart's B slice is.
     """
     j, upper, vec = find_defect(data)
-    up = vec if j == 1 or upper else _minors(data, data.k + j - 1)[0]
     _, B = chart_pair(data, j, upper, vec)
     if not any(B):
         raise InternalInconsistency(f"certified chart denominator is zero on {data!r}")
     witnesses = witness_nodes(data, B)
     return StratumReport(
         defect=j,
-        chart=_chart_label(not upper, bool(up[data.n])),
+        chart=_chart_label(not upper, upper or bool(B[-1])),
         unattainable=bool(witnesses),
         witnesses=witnesses,
     )

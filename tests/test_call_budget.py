@@ -1,18 +1,19 @@
 """Elimination budgets: each route and classifier eliminates every distinct
 matrix it needs once, ``find_defect`` at most three, ``solve_kernel`` one,
-``classify_by_rank`` two at every defect plus at most two tail ranks, and
-``eea-trace`` runs one Euclid for its table.  Work pins: the node int view
-is computed once per instance, ``rhip_check`` is one pass of two Taylor
-shifts per node, and a parsed GF(p) document is solved and classified
-without one checked ``PrimeFieldElement`` construction.
+``stratum_equations`` as many as ``find_defect``, ``classify_by_rank`` one
+halted elimination at every defect, ``minors`` slices each of its matrices
+once, and ``eea-trace`` runs one Euclid for its table.  Work pins: the node
+int view is computed once per instance, ``rhip_check`` is one pass of two
+Taylor shifts per node, and a parsed GF(p) document is solved and
+classified without one checked ``PrimeFieldElement`` construction.
 
 ``_count_eliminations`` wraps ``linalg._eliminate`` in ``linalg`` and in
 every ratherm module that binds it, so each elimination is seen, behind
-the public wrappers or not; ``determinant`` is spied on the same way.  The
-other counters wrap ``rank`` where ``strata`` imports it, ``_remainders`` in
+the public wrappers or not; ``rank``, ``determinant`` and ``build_matrix``
+are spied on the same way.  The other counters wrap ``_remainders`` in
 ``polynomial``, and ``_minors_and_rank`` both in ``linalg``, behind
-``signed_minors``, and where ``solvers`` imports it for ``minor_vector``,
-``find_defect`` and the upper certificate ``stratum_equations`` reads.
+``signed_minors``, and where ``solvers`` imports it for ``minor_vector``
+and ``find_defect``.
 """
 
 import json
@@ -65,9 +66,9 @@ def _spy_everywhere(monkeypatch, module, name, record=lambda *args: args):
     every ratherm module that binds that function."""
     calls, inner = [], getattr(module, name)
 
-    def wrapped(*args):
-        calls.append(record(*args))
-        return inner(*args)
+    def wrapped(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return inner(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "ratherm" and getattr(mod, name, None) is inner:
@@ -76,8 +77,8 @@ def _spy_everywhere(monkeypatch, module, name, record=lambda *args: args):
 
 
 def _count_eliminations(monkeypatch):
-    """Every ``_eliminate`` call, as the (rows, columns, stop) it ran on."""
-    return _spy_everywhere(monkeypatch, linalg, "_eliminate", lambda M, stop=None: (M.r, M.c, stop))
+    """Every ``_eliminate`` call, as the (rows, columns, halt) it ran on."""
+    return _spy_everywhere(monkeypatch, linalg, "_eliminate", lambda M, halt=False: (M.r, M.c, halt))
 
 
 def _count_minor_vectors(monkeypatch):
@@ -127,9 +128,9 @@ def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
     elimination at defect 1; up to m+1 the lower chart of N, and the upper
     one only when the lower certificate vanishes; beyond m+1 the upper
     chart alone.  The ascending scan it replaced took 2N-1 up to m+1; the
-    defect-4 draw pins both counts.  ``solve_minors`` costs what
-    ``find_defect`` does, and ``stratum_equations``, which reads both
-    certificates for its chart label, three at defect 2..m+1."""
+    defect-4 draw pins both counts.  ``solve_minors`` and
+    ``stratum_equations``, which reads the upper certificate for its chart
+    label off the lower chart's B slice, cost what ``find_defect`` does."""
     calls = _count_minor_vectors(monkeypatch)
     eliminations = _count_eliminations(monkeypatch)
     draws = _draws((((3, 3, 2), 4, 3), ((4, 4, 4), 6, 5)), 60)
@@ -147,7 +148,7 @@ def test_find_defect_eliminates_at_most_three_matrices(monkeypatch, generic):
         calls.clear()
         eliminations.clear()
         stratum_equations(d)
-        assert len(calls) == len(eliminations) == (1 if j == 1 else 3 if j <= d.m + 1 else 2)
+        assert len(calls) == len(eliminations) == inner
     assert {find_defect(d)[0] for d in draws} == set(range(1, 7))
     assert lower_only >= 20
     pinned = sample_stratum((4, 4, 4), 6, 4, False, 1, RAT)
@@ -166,46 +167,49 @@ def test_solve_kernel_eliminates_the_main_matrix_once(monkeypatch, generic):
     for d in generic + draws + ZERO_NUMERATOR:
         calls.clear()
         solve_kernel(d)
-        assert calls == [(d.n, d.n + 1, None)]
+        assert calls == [(d.n, d.n + 1, False)]
     assert {solve_kernel(d)[0].kernel_dim for d in draws} == {1, 2, 3, 4}
 
 
 def test_rank_classifier_takes_one_stopped_elimination_at_every_defect(monkeypatch, generic):
-    """One main rank gives the defect d, and one elimination, stopped after
-    the c columns of the d-shrunken matrix, gives every witness, and one
-    rank of each w-square tail block each certificate: no determinant, no
-    submatrix.  Up to m+1, c = n-2d+1 and w = 2d-1.  Beyond it, where
-    d > k, the shrunken matrix has right columns only, c = n-k-d+1, the
-    tail block is (k+d-1)-square, and there is no lower block to rank."""
+    """One elimination of the main matrix's n+1 columns in shrink order and
+    one unit column per node, halted at its first gap, gives the defect,
+    every witness and both certificates, below m+1 and beyond it: no rank,
+    no determinant, no submatrix."""
     eliminations = _count_eliminations(monkeypatch)
-    ranks = _count(monkeypatch, strata, "rank")
     forbidden = [
+        _spy_everywhere(monkeypatch, linalg, "rank"),
         _spy_everywhere(monkeypatch, linalg, "determinant"),
         _count(monkeypatch, problem, "build_submatrix_i"),
     ]
     draws = _draws((((3, 3, 2), 4, 3),), 80)
     for d in generic + draws + ZERO_NUMERATOR:
-        for calls in [eliminations, ranks] + forbidden:
+        for calls in [eliminations] + forbidden:
             calls.clear()
         rep = classify_by_rank(d)
         assert (rep.defect > d.m + 1) == (d in ZERO_NUMERATOR)
-        if d in ZERO_NUMERATOR:
-            w, c = d.k + rep.defect - 1, d.n - d.k - rep.defect + 1
-            assert eliminations == [(d.n, d.n + 1, None), (d.n, c + w + d.l, c), (w, w, None)]
-            assert len(ranks) == 2
-        else:
-            w, c = 2 * rep.defect - 1, d.n - 2 * rep.defect + 1
-            assert eliminations == [
-                (d.n, d.n + 1, None), (d.n, c + 2 * w + d.l, c), (w, w, None), (w, w, None)
-            ]
-            assert len(ranks) == 3
+        assert eliminations == [(d.n, d.n + 1 + d.l, True)]
         assert not any(forbidden)
+    assert {classify_by_rank(d).defect for d in draws} == {1, 2, 3, 4}
+
+
+def test_minors_slices_each_matrix_once(monkeypatch, generic, tmp_path, capsys):
+    """``minors`` slices each (t-1, n-t) member once, for its minor vector;
+    its annihilation check reads the same rows in the master."""
+    calls = _spy_everywhere(monkeypatch, problem, "build_matrix")
+    d = random_data(random.Random(1), (4, 4, 4, 4), 8)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(d.to_json_dict()))
+    assert main(["minors", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(c[1:] for c in calls) == [(t - 1, d.n - t) for t in range(1, d.n + 2)]
+    assert len(calls) == 17
 
 
 def test_classify_takes_only_the_certificate_determinants(monkeypatch, generic):
     """Neither the display window, which reads the remainder sequence, nor
     the rank classifier, which reads both chart certificates off its
-    stopped elimination at every defect, takes a determinant, below m+1
+    halted elimination at every defect, takes a determinant, below m+1
     or beyond it, where the lower chart's index k-d+1 is below 1."""
     calls = _spy_everywhere(monkeypatch, linalg, "determinant")
     draws = [

@@ -21,7 +21,7 @@ from ratherm import (
     solve_kernel,
     taylor_prefix,
 )
-from ratherm import solvers
+from ratherm import cli, solvers
 from ratherm.cli import main
 from ratherm.field import MAX_DIGITS
 from ratherm.problem import MAX_N
@@ -238,6 +238,29 @@ def test_vanishing_certificates_at_the_nullity_exit_2(argv, tmp_path, capsys, mo
         code, out, err = run_json(capsys, argv + ["--input", write_doc(tmp_path, doc)])
         assert (code, out) == (2, None)
         assert json.loads(err)["kind"] == "InternalInconsistency"
+
+
+BEYOND_DOC = {  # defect 3 > m+1 = 1, node 1 a witness
+    "field": "Q",
+    "k": 1,
+    "nodes": [{"u": "0", "values": ["0", "0"]}, {"u": "1", "values": ["0", "1"]}],
+}
+
+
+def test_classify_checks_the_window(tmp_path, capsys, monkeypatch):
+    """The display window is a third check of defect and chart: a window
+    with every entry zero puts the defect above m+1, one with every entry
+    one puts it at 1 in both charts; against the equations' report below
+    m+1 and above it, either makes ``classify`` exit 2 with a JSON error."""
+    for doc, code in ((GOLDEN_DOC, 3), (BEYOND_DOC, 3)):
+        assert run_json(capsys, ["classify", "--input", write_doc(tmp_path, doc)])[0] == code
+    inner = cli.diagonal_window
+    for doc, value in ((GOLDEN_DOC, 0), (BEYOND_DOC, 1)):
+        monkeypatch.setattr(cli, "diagonal_window", lambda d: {t: value for t in inner(d)})
+        code, out, err = run_json(capsys, ["classify", "--input", write_doc(tmp_path, doc)])
+        assert (code, out) == (2, None)
+        assert json.loads(err)["kind"] == "InternalInconsistency"
+        assert "diagonal window" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize(

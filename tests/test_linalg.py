@@ -283,48 +283,58 @@ def test_signed_minors_shape_guard():
         signed_minors(M([[1], [2]]))
 
 
+def _first_gap(m):
+    """The first column the full elimination of m gives no pivot, or m.c."""
+    pivots = _eliminate(m)[1]
+    return next((c for c in range(m.c) if c not in pivots), m.c)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(zero_heavy_matrices(), st.integers(0, 7))
-def test_stopped_elimination_matches_prefix_elimination(m, stop):
-    """``_eliminate(M, stop)`` is the elimination of M's first ``stop``
-    columns: the same pivots and parity, and, on rows without a denominator
-    to clear, the same last pivot and pivot rows up to ``stop``."""
-    stop = min(stop, m.c)
+@given(zero_heavy_matrices())
+def test_stopped_elimination_matches_prefix_elimination(m):
+    """``_eliminate(M, halt=True)`` pivots every column before the first gap
+    of the full elimination and stops there: it is the elimination of the
+    prefix up to that gap, with the same pivots and parity, and, on rows
+    without a denominator to clear, the same last pivot and rows."""
+    gap = _first_gap(m)
+    stop = min(gap + 1, m.c)
     prefix = m.select(range(m.r), range(stop))
-    _, pivots, _, parity, _ = _eliminate(m, stop)
+    _, pivots, _, parity, _ = _eliminate(m, halt=True)
     _, ref_pivots, _, ref_parity, _ = _eliminate(prefix)
-    assert (pivots, parity) == (ref_pivots, ref_parity)
+    assert pivots == ref_pivots == list(range(gap))
+    assert parity == ref_parity
     ones = [1] * m.r
     whole = ExactMatrix.from_ints(m.nums, ones, m.c, m.field)
     head = ExactMatrix.from_ints([row[:stop] for row in m.nums], ones, stop, m.field)
-    rows, *got = _eliminate(whole, stop)
+    rows, *got = _eliminate(whole, halt=True)
     ref_rows, *ref = _eliminate(head)
     assert got == ref
-    for i, col in enumerate(ref[0]):
-        assert rows[i][col:stop] == ref_rows[i][col:]
+    assert [row[:stop] for row in rows] == ref_rows
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(zero_heavy_matrices(), st.integers(0, 7))
-def test_unit_column_below_a_stopped_prefix_decides_row_deletion(m, stop):
-    """With a unit column e_r appended per row and the elimination stopped
-    after the first ``stop`` columns C, the column of e_r vanishes on every
-    row below the pivots exactly when deleting row r drops the rank of C,
-    whether or not C has full column rank; and the columns after C keep
-    rank(M) - rank(C) there (the Schur complement)."""
-    stop = min(stop, m.c)
+@given(zero_heavy_matrices())
+def test_unit_column_below_a_stopped_prefix_decides_row_deletion(m):
+    """With a zero column and then a unit column e_r per row appended, the
+    halted elimination stops at M's first gap g, and C, M's first g
+    columns, has full column rank; there the column of e_r vanishes on
+    every row below the pivots exactly when deleting row r drops the rank
+    of C, and M's columns from the gap on keep rank(M) - g there (the Schur
+    complement)."""
+    gap = _first_gap(m)
     units = [
-        row + [den if j == i else 0 for j in range(m.r)]
+        row + [0] + [den if j == i else 0 for j in range(m.r)]
         for i, (row, den) in enumerate(zip(m.nums, m.dens))
     ]
-    ext = ExactMatrix.from_ints(units, m.dens, m.c + m.r, m.field)
-    rows, pivots, _, _, _ = _eliminate(ext, stop)
-    tail = [row[stop:] for row in rows[len(pivots) :]]
-    prefix = m.select(range(m.r), range(stop))
-    assert len(pivots) == rank(prefix)
+    ext = ExactMatrix.from_ints(units, m.dens, m.c + 1 + m.r, m.field)
+    rows, pivots, _, _, _ = _eliminate(ext, halt=True)
+    assert pivots == list(range(gap))
+    tail = rows[gap:]
+    prefix = m.select(range(m.r), range(gap))
+    assert rank(prefix) == gap
     for i in range(m.r):
-        deleted = m.select([r for r in range(m.r) if r != i], range(stop))
-        assert (not any(row[m.c - stop + i] for row in tail)) == (rank(deleted) < rank(prefix))
-    rest = [row[: m.c - stop] for row in tail]
-    rest_rank = rank(ExactMatrix.from_ints(rest, [1] * len(rest), m.c - stop, m.field))
-    assert rest_rank == rank(m) - rank(prefix)
+        deleted = m.select([r for r in range(m.r) if r != i], range(gap))
+        assert (not any(row[m.c + 1 + i] for row in tail)) == (rank(deleted) < gap)
+    rest = [row[gap : m.c] for row in tail]
+    rest_rank = rank(ExactMatrix.from_ints(rest, [1] * len(rest), m.c - gap, m.field))
+    assert rest_rank == rank(m) - gap

@@ -469,7 +469,7 @@ def test_kernel_route_matches_shrunken_matrix_reference():
 
 
 def test_rank_classifier_matches_per_node_rank_reference():
-    """``classify_by_rank`` off one stopped elimination returns the report
+    """``classify_by_rank`` off one halted elimination returns the report
     of per-node ranks and determinant certificates: defect, chart label
     (both certificates' nonvanishing), verdict and witnesses."""
     charts, unattainable = set(), 0

@@ -25,10 +25,17 @@ from ratherm import (
     stratum_equations,
 )
 from ratherm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNATTAINABLE
-from ratherm.strata import StratumReport, diagonal_window
+from ratherm.solvers import chart_pair, find_defect
+from ratherm.strata import StratumReport, _chart_label, diagonal_window, window_chart
 
-from oracles import b1_closed_form_check, classify_by_rank_ref, defect_by_scan_ref, poly_pow
-from test_golden_cli import LOW_ENTROPY_SHAPES, run_cli
+from oracles import (
+    b1_closed_form_check,
+    classify_by_rank_ref,
+    defect_by_scan_ref,
+    defect_certificates,
+    poly_pow,
+)
+from test_golden_cli import DOCUMENTS, LOW_ENTROPY_SHAPES, _low_entropy_documents, run_cli
 
 RAT = FieldConfig.rationals()
 GF13 = FieldConfig.prime(13)
@@ -200,9 +207,10 @@ def test_classifiers_cover_zero_numerator_regime(d, defect, wits):
 
 
 def test_main_rank_defect_matches_descending_scan():
-    """classify_by_rank reads the defect off one main rank; the old scan of
-    shrunken ranks must give the same value, on draws at every feasible
-    defect and on zero-numerator data with defect above m+1."""
+    """classify_by_rank reads the defect off the first gap of its halted
+    elimination; the old scan of shrunken ranks must give the same value,
+    on draws at every feasible defect and on zero-numerator data with
+    defect above m+1."""
     docs = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
     corpus = [HermiteData.from_json_dict(doc) for doc in docs["documents"]]
     draws = []
@@ -293,7 +301,7 @@ def _tall_zero_numerator():
 
 def test_classify_matches_reference_above_generic_bound():
     """Above m+1, where the minimal numerator is zero, ``classify``'s rank
-    report off one stopped elimination equals the report of per-node
+    report off one halted elimination equals the report of per-node
     appended-row ranks and determinant certificates, with witnesses and
     without, over Q, GF(7) and GF(1000003), and on a tall family."""
     cases = [
@@ -312,18 +320,85 @@ def test_classify_matches_reference_above_generic_bound():
 
 
 def test_shrunken_matrix_rank_shortfall_is_an_internal_error(monkeypatch, golden):
-    """A stopped elimination that finds fewer than c pivots contradicts the
-    main rank: ``classify`` exits 2 with a JSON error, below m+1 and above."""
-    def one_pivot_short(M, stop=None):
-        rows, pivots, last, parity, scale = linalg._eliminate(M, stop)
+    """A halted elimination that drops its last pivot, or skips its first,
+    no longer ends in a run of pivots up to a gap: ``classify`` exits 2
+    with a JSON error, below m+1 and above."""
+    def one_pivot_short(M, halt=False):
+        rows, pivots, last, parity, scale = linalg._eliminate(M, halt)
         return rows, pivots[:-1], last, parity, scale
 
-    monkeypatch.setattr(strata, "_eliminate", one_pivot_short)
+    def first_pivot_skipped(M, halt=False):
+        rows, pivots, last, parity, scale = linalg._eliminate(M, halt)
+        return rows, pivots[1:], last, parity, scale
+
     beyond, defect, _ = DEGENERATE[2]
-    assert defect == 3 > beyond.m + 1  # k = 1: C is the (-1, 0) matrix, c = 1
-    for d in (golden, beyond):
-        with pytest.raises(InternalInconsistency, match="shrunken matrix has rank"):
-            classify_by_rank(d)
-        code, out, err = run_cli(["classify"], json.dumps(d.to_json_dict()))
-        assert (code, out) == (EXIT_INTERNAL, "")
-        assert json.loads(err)["kind"] == "InternalInconsistency"
+    assert defect == 3 > beyond.m + 1  # k = 1: C_3 is one right column, the gap the next
+    for fake in (one_pivot_short, first_pivot_skipped):
+        monkeypatch.setattr(strata, "_eliminate", fake)
+        for d in (golden, beyond):
+            with pytest.raises(InternalInconsistency, match="halted elimination has pivots"):
+                classify_by_rank(d)
+            code, out, err = run_cli(["classify"], json.dumps(d.to_json_dict()))
+            assert (code, out) == (EXIT_INTERNAL, "")
+            assert json.loads(err)["kind"] == "InternalInconsistency"
+
+
+def _certificate_documents():
+    """``sample_stratum`` draws over eleven shapes at every k and every
+    feasible defect, plain and forced, two seeds each, over Q, GF(5), GF(7)
+    and GF(1000003); and 300 zero-heavy documents of the golden corpus's
+    generator over Q, GF(5) and GF(7), 100 of them above m+1."""
+    shapes = [(2, 1), (3, 1), (1, 1, 1), (2, 2), (4,), (3, 2), (2, 2, 1), (5,), (3, 3),
+              (2, 1, 1, 1), (4, 2)]
+    draws = [
+        sample_stratum(shape, k, j, forced, seed + 7 * j + k, FieldConfig(p))
+        for p in (None, 5, 7, 1000003)
+        for shape in shapes
+        for k in range(1, sum(shape) + 1)
+        for j in range(1, min(k - 1, sum(shape) - k) + 2)
+        for forced in (False, True)[: 1 + (j <= min(k - 1, sum(shape) - k))]
+        for seed in (0, 100)
+    ]
+    return draws + [HermiteData.from_json_dict(doc) for doc in _low_entropy_documents(100, 200)]
+
+
+def test_certificates_follow_the_degree_laws():
+    """Each classifier reads its certificates off the degree law of the
+    minimal pair, and both readings equal the signed certificates
+    Delta_{k-j+1,k-j+1} and Delta_{k+j,k+j} by determinant: the rank
+    classifier's left pivot and right column of the defect pair, and,
+    beside the lower chart, the top entry of the equations' B slice.  The
+    rank report equals the per-node rank reference in full."""
+    docs = _certificate_documents()
+    fields = {d.field.p for d in docs}
+    assert len(docs) >= 1000 and fields == {None, 5, 7, 1000003}
+    assert any(d.k == 1 for d in docs) and any(d.k == d.n for d in docs)
+    above = 0
+    for d in docs:
+        j, cert_low, cert_up, _ = defect_certificates(d)
+        chart = _chart_label(bool(cert_low), bool(cert_up))
+        rep = classify_by_rank(d)
+        assert rep == classify_by_rank_ref(d)
+        assert (rep.defect, rep.chart) == (j, chart)
+        _, upper, vec = find_defect(d)
+        if not upper:
+            assert bool(chart_pair(d, j, upper, vec)[1][-1]) == bool(cert_up)
+        assert stratum_equations(d).chart == chart
+        above += j > d.m + 1
+    assert above >= 100
+
+
+def test_window_chart_matches_both_classifiers():
+    """The display window's (defect, chart), the defect capped at m+2,
+    equals each classifier's on the golden corpus and on the certificate
+    documents, both sides of m+1 and where k+d = n+1 (Delta_{n+1,n+1},
+    outside the window, is taken as nonzero)."""
+    docs = [HermiteData.from_json_dict(doc) for doc in DOCUMENTS] + _certificate_documents()
+    seen = set()
+    for d in docs:
+        rep = stratum_equations(d)
+        expected = (min(rep.defect, d.m + 2), rep.chart)
+        assert window_chart(d, diagonal_window(d)) == expected
+        assert (min(classify_by_rank(d).defect, d.m + 2), classify_by_rank(d).chart) == expected
+        seen.add("above" if rep.defect > d.m + 1 else "edge" if d.k + rep.defect == d.n + 1 else "below")
+    assert seen == {"above", "edge", "below"}
