@@ -116,9 +116,7 @@ def _deg(p: Poly) -> Optional[int]:
     return None if p.is_zero else p.degree
 
 
-def _minimal_json(minsol: Optional[MinimalSolution]) -> Optional[dict]:
-    if minsol is None:
-        return None
+def _minimal_json(minsol: MinimalSolution) -> dict:
     return {
         "A0": minsol.A0.to_json(),
         "B0": minsol.B0.to_json(),
@@ -135,43 +133,25 @@ def _monic_denominator(sol: RationalSolution) -> RationalSolution:
     return RationalSolution(sol.A * scale, sol.B * scale)
 
 
-def _run_method(data: HermiteData, method: str):
-    if method == "kernel":
-        return solve_kernel(data)
-    if method == "minors":
-        return solve_minors(data)
-    return None, solve_eea(data)
-
-
-def _classifications_agree(outcomes: list) -> bool:
-    """Same verdict from every route, and the same pair or the same stratum
-    and witnesses.  Each route's pair comes out of MinimalSolution.from_pair
-    normalized (A0 monic, or B0 when A0 = 0), so pairs that are
-    proportional are equal."""
-    verdicts = [cls.solvable for _, cls in outcomes]
-    if any(v != verdicts[0] for v in verdicts):
-        return False
-    base = outcomes[0][1]
-    if verdicts[0]:
-        return all(cls.sol == base.sol for _, cls in outcomes[1:])
-    return all(
-        cls.stratum_j == base.stratum_j and cls.witness_nodes == base.witness_nodes
-        for _, cls in outcomes[1:]
-    )
-
-
 def cmd_solve(args, data: HermiteData) -> int:
-    methods = ("kernel", "eea", "minors") if args.method == "all" else (args.method,)
-    outcomes = [_run_method(data, m) for m in methods]
-    agreement = _classifications_agree(outcomes)
-    minsol = next((ms for ms, _ in outcomes if ms is not None), None)
-    cls = outcomes[0][1]
+    """Run the chosen routes.  Each returns its (MinimalSolution,
+    Classification), the pair normalized by ``MinimalSolution.from_pair``,
+    so routes agree when their answers are equal.  The table is built per
+    call, so a route wrapped or replaced in this module is the one that runs.
+    """
+    routes = {"kernel": solve_kernel, "eea": solve_eea, "minors": solve_minors}
+    methods = routes if args.method == "all" else (args.method,)
+    outcomes = [routes[m](data) for m in methods]
+    agreement = all(o == outcomes[0] for o in outcomes)
+    minsol, cls = outcomes[0]
+    # --method eea prints minimal as null: the output format is a stable contract
+    shows_minimal = args.method != "eea"
     out = {
         "status": "solvable" if cls.solvable else "unattainable",
         "method": args.method,
         "method_agreement": agreement,
         "field": data.field.to_json(),
-        "minimal": _minimal_json(minsol),
+        "minimal": _minimal_json(minsol) if shows_minimal else None,
     }
     pretty = [f"status: {out['status']}", f"method agreement: {agreement}"]
     if cls.solvable:
@@ -189,7 +169,7 @@ def cmd_solve(args, data: HermiteData) -> int:
             f"stratum: {cls.stratum_j}",
             f"witness nodes (0-based): {list(cls.witness_nodes)}",
         ]
-        if minsol is not None:
+        if shows_minimal:
             pretty += [f"minimal A0: {minsol.A0}", f"minimal B0: {minsol.B0}"]
     _emit(args, out, pretty)
     if not agreement:
@@ -198,13 +178,11 @@ def cmd_solve(args, data: HermiteData) -> int:
 
 
 def cmd_classify(args, data: HermiteData) -> int:
+    """Both classifiers' reports; they agree when equal: defect, chart,
+    verdict and witnesses."""
     by_rank = classify_by_rank(data)
     by_eq = stratum_equations(data)
-    agrees = (
-        by_rank.unattainable == by_eq.unattainable
-        and by_rank.defect == by_eq.defect
-        and by_rank.witnesses == by_eq.witnesses
-    )
+    agrees = by_rank == by_eq
     window = diagonal_window(data)
     if window_chart(data, window) != (min(by_eq.defect, data.m + 2), by_eq.chart):
         raise InternalInconsistency(

@@ -12,7 +12,9 @@ data sits in the odd-codimension stratum indexed by its defect.
 
 Routes, each finding the minimal pair its own way, as two int lists, and
 then handing it to ``_classify``, which boxes it once and runs the node
-test on the ints:
+test on the ints.  Each returns the (MinimalSolution, Classification) that
+``_classify`` builds, so two routes agree exactly when their answers are
+equal:
 
 - ``solve_kernel``: one elimination of the main matrix gives the defect,
   its number of free columns, and the pair, the kernel vector of its first
@@ -71,11 +73,11 @@ class MinimalSolution:
         A0, B0 = (Poly._trimmed(_box(data.field, P, unit), data.field) for P in (A, B))
         dA, dB = A0.degree, B0.degree
         s0 = min(data.k - 1 - dA, data.n - data.k - dB)
-        if s0 < 0 or s0 != int(s0):
+        if s0 < 0:
             raise InternalInconsistency(
                 f"minimal pair degrees ({dA}, {dB}) break the bounds of {data!r}"
             )
-        return cls(A0, B0, int(s0), int(s0) + 1)
+        return cls(A0, B0, s0, s0 + 1)
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def solve_kernel(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     return minsol, cls
 
 
-def solve_eea(data: HermiteData) -> Classification:
+def solve_eea(data: HermiteData) -> tuple[MinimalSolution, Classification]:
     """Euclidean route.
 
     F = prod (x - u_i)^(n_i), G = the confluent interpolant of the data.
@@ -202,7 +204,8 @@ def solve_eea(data: HermiteData) -> Classification:
     is carried.  A zero remainder (G = 0, or F and G sharing a factor of
     degree >= k) also ends the run, with the same meaning.  The run is
     ``_remainders`` on ints, stopped there; over Q on L G, L the lcm of G's
-    denominators (1 over GF(p)), so the pair for G is (R, L T).
+    denominators (1 over GF(p)), so the pair for G is (R, L T), and
+    ``_classify`` normalizes it as the other routes' pairs.
     """
     G = hermite_interpolant(data)
     F = product_F(data)
@@ -213,7 +216,7 @@ def solve_eea(data: HermiteData) -> Classification:
     F_int, (G_int, L) = _ints(data.field, F.coeffs)[0], _ints(data.field, G.coeffs)
     rows = _remainders(F_int, G_int, data.field.p, True)
     R, T = next((P, T) for P, _, T, _, _ in rows if len(P) <= data.k)
-    return _classify(data, R, [L * c for c in T])[1]
+    return _classify(data, R, [L * c for c in T])
 
 
 def find_defect(data: HermiteData) -> tuple[int, bool, list[int]]:

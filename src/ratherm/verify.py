@@ -27,7 +27,7 @@ from .errors import (
 from .field import RATIONALS, FieldConfig, Scalar
 from .polynomial import Poly, evaluate, gcd, rational_taylor
 from .problem import MAX_N, HermiteData, RationalSolution, whip_residual
-from .solvers import diagonal_minor, minor_vector, solve_kernel, solve_minors
+from .solvers import diagonal_minor, minor_vector, solve_kernel
 
 # Largest accepted sample_count per identity.
 MAX_SAMPLES = 10_000
@@ -369,8 +369,8 @@ def sample_stratum(
     construction; forced draws additionally plant a node root in the
     minimal denominator, which requires j <= m (with m = 0 every instance
     is solvable and the request is infeasible).  The claimed defect and
-    verdict are re-derived through the solvers before returning, and the
-    draw is repeated on the measure-tiny misses.
+    verdict are re-derived through ``solve_kernel``, one elimination, before
+    returning, and the draw is repeated on the measure-tiny misses.
     """
     n_vec = tuple(int(x) for x in n_vec)
     k = int(k)
@@ -391,22 +391,14 @@ def sample_stratum(
     elif not 1 <= j <= m + 1:
         raise InfeasibleRequest(f"defect must lie in 1..m+1 = {m + 1}, got {j}")
     rng = random.Random(seed)
+    draw = _draw_forced if force_unattainable else _draw_plain
     for _ in range(_MAX_ATTEMPTS):
-        if force_unattainable:
-            data = _draw_forced(rng, n_vec, k, j, field)
-            if data is None:
-                continue
-            minsol, cls = solve_kernel(data)
-            if cls.solvable or minsol.kernel_dim != j:
-                continue
-        else:
-            data = _draw_plain(rng, n_vec, k, j, field)
-            if data is None:
-                continue
-            minsol, cls = solve_minors(data)
-            if not cls.solvable or minsol.kernel_dim != j:
-                continue
-        return data
+        data = draw(rng, n_vec, k, j, field)
+        if data is None:
+            continue
+        minsol, cls = solve_kernel(data)
+        if cls.solvable != force_unattainable and minsol.kernel_dim == j:
+            return data
     raise InternalInconsistency(
         f"sampler exhausted {_MAX_ATTEMPTS} attempts for shape {n_vec}, "
         f"k = {k}, defect {j}, forced = {force_unattainable}"

@@ -66,7 +66,7 @@ def test_criterion_1_golden_example(golden):
     t0 = time.perf_counter()
     outcomes = [
         solve_kernel(golden)[1],
-        solve_eea(golden),
+        solve_eea(golden)[1],
         solve_minors(golden)[1],
     ]
     for cls in outcomes:
@@ -189,7 +189,7 @@ def test_criterion_4_three_route_agreement():
     for d in instances:
         minsol_k, cls_k = solve_kernel(d)
         minsol_m, cls_m = solve_minors(d)
-        cls_e = solve_eea(d)
+        cls_e = solve_eea(d)[1]
         # identical solvability verdicts
         assert cls_k.solvable == cls_m.solvable == cls_e.solvable
         if cls_k.solvable:

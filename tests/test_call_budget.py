@@ -1,8 +1,9 @@
 """Elimination budgets: each route and classifier eliminates every distinct
 matrix it needs once, ``find_defect`` at most three, ``solve_kernel`` one,
 ``stratum_equations`` as many as ``find_defect``, ``classify_by_rank`` one
-halted elimination at every defect, ``minors`` slices each of its matrices
-once, and ``eea-trace`` runs one Euclid for its table.  Work pins: the node
+halted elimination at every defect, ``sample_stratum`` one per draw,
+``minors`` slices each of its matrices once, and ``eea-trace`` runs one
+Euclid for its table.  Work pins: the node
 int view is computed once per instance, ``rhip_check`` is one pass of two
 Taylor shifts per node, and a parsed GF(p) document is solved and
 classified without one checked ``PrimeFieldElement`` construction.
@@ -38,6 +39,7 @@ from ratherm import (
     solvers,
     strata,
     stratum_equations,
+    verify,
 )
 from ratherm.cli import main
 from ratherm.solvers import find_defect
@@ -169,6 +171,27 @@ def test_solve_kernel_eliminates_the_main_matrix_once(monkeypatch, generic):
         solve_kernel(d)
         assert calls == [(d.n, d.n + 1, False)]
     assert {solve_kernel(d)[0].kernel_dim for d in draws} == {1, 2, 3, 4}
+
+
+def test_sampler_rederives_each_draw_with_one_elimination(monkeypatch):
+    """``sample_stratum`` re-derives each drawn instance, plain or forced,
+    with ``solve_kernel`` alone: one elimination of the main matrix per
+    draw, at every defect; a draw that fails a side condition takes none."""
+    eliminations = _count_eliminations(monkeypatch)
+    drawn = []
+    for name in ("_draw_plain", "_draw_forced"):
+        inner = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, inner=inner: drawn.append(inner(*a)) or drawn[-1])
+    for field in (RAT, FieldConfig.prime(1000003)):
+        for shape, k, m in (((3, 3, 2), 4, 3), ((4, 4, 4), 6, 5)):
+            for forced, top in ((False, m + 1), (True, m)):
+                for j in range(1, top + 1):
+                    eliminations.clear()
+                    drawn.clear()
+                    d = sample_stratum(shape, k, j, forced, 100 + j, field)
+                    tried = [x for x in drawn if x is not None]
+                    assert tried[-1] is d
+                    assert eliminations == [(d.n, d.n + 1, False)] * len(tried)
 
 
 def test_rank_classifier_takes_one_stopped_elimination_at_every_defect(monkeypatch, generic):

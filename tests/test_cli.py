@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, document round-trips, flag handling."""
 
+import dataclasses
 import io
 import json
 import random
@@ -338,9 +339,10 @@ def test_agreement_rejects_a_different_solvable_pair(tmp_path, capsys, monkeypat
     from ratherm.problem import RationalSolution
     from ratherm.solvers import Solvable, solve_eea
 
-    def other_pair(data):
-        sol = solve_eea(data).sol
-        return Solvable(RationalSolution(poly_add(sol.A, poly_one(sol.A.field)), sol.B))  # not proportional
+    def other_pair(data):  # a solution not proportional to the true one
+        minsol, cls = solve_eea(data)
+        sol = cls.sol
+        return minsol, Solvable(RationalSolution(poly_add(sol.A, poly_one(sol.A.field)), sol.B))
 
     code, out = _disagreement(capsys, tmp_path, monkeypatch, solvable_doc(), "solve_eea", other_pair)
     assert (code, out["method_agreement"]) == (2, False)
@@ -357,6 +359,20 @@ def test_agreement_rejects_different_witnesses(tmp_path, capsys, monkeypatch):
     assert (code, out["method_agreement"]) == (2, False)
 
 
+@pytest.mark.parametrize("route", ["solve_kernel", "solve_eea", "solve_minors"])
+def test_agreement_rejects_a_different_unattainable_pair(tmp_path, capsys, monkeypatch, route):
+    """Same stratum and witnesses, another minimal pair: the routes disagree."""
+    inner = getattr(cli, route)
+
+    def other_pair(data):
+        minsol, cls = inner(data)
+        return dataclasses.replace(minsol, A0=poly_add(minsol.A0, poly_one(data.field))), cls
+
+    code, out = _disagreement(capsys, tmp_path, monkeypatch, GOLDEN_DOC, route, other_pair)
+    assert (code, out["status"], out["stratum_j"], out["witness_nodes"]) == (2, "unattainable", 1, [1])
+    assert out["method_agreement"] is False
+
+
 # ----------------------------------------------------------------- classify
 
 
@@ -371,6 +387,24 @@ def test_classify_golden(tmp_path, capsys):
         assert out[key]["witnesses"] == [1]
     assert out["equations"]["chart"] == "both"
     assert out["rank"]["diagonal_minors"]["2"] == "1"
+
+
+def test_classify_rejects_a_relabelled_rank_chart(tmp_path, capsys, monkeypatch):
+    """A rank report that differs from the equations' in its chart alone
+    makes ``classify`` exit 2."""
+    inner = cli.classify_by_rank
+    relabel = {"both": "lower", "lower": "upper", "upper": "both"}
+
+    def relabelled(data):
+        report = inner(data)
+        return dataclasses.replace(report, chart=relabel[report.chart])
+
+    monkeypatch.setattr(cli, "classify_by_rank", relabelled)
+    for doc in (GOLDEN_DOC, solvable_doc(), BEYOND_DOC):
+        code, out, _ = run_json(capsys, ["classify", "--input", write_doc(tmp_path, doc)])
+        assert (code, out["rank_classifier_agrees"]) == (2, False)
+        assert out["rank"]["chart"] != out["equations"]["chart"]
+        assert out["rank"]["witnesses"] == out["equations"]["witnesses"]
 
 
 def test_classify_solvable(tmp_path, capsys):

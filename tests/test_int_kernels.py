@@ -235,7 +235,8 @@ def test_eea_route_matches_eea_table_cut_on_golden_documents():
         else:
             cut = next(row for row in eea_ref(F, G) if row.remainder.degree < data.k)
             R, T = cut.remainder, cut.bezout_t
-        assert solve_eea(data) == classify_minimal_ref(data, from_pair_ref(data, R, T))
+        ref = from_pair_ref(data, R, T)
+        assert solve_eea(data) == (ref, classify_minimal_ref(data, ref))
 
 
 def nonzero_polys(field, min_degree=0, max_degree=6):

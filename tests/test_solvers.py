@@ -106,7 +106,8 @@ def test_golden_kernel_route(golden):
 
 
 def test_golden_eea_route(golden):
-    verdict = solve_eea(golden)
+    minsol, verdict = solve_eea(golden)
+    assert minsol.A0 == minsol.B0 == Poly((-2, 1), RAT)
     assert isinstance(verdict, Unattainable)
     assert (verdict.stratum_j, verdict.witness_nodes) == (1, (1,))
 
@@ -139,7 +140,7 @@ def test_solvable_instance_all_routes():
     assert isinstance(verdict, Solvable)
     assert verdict.solvable
     assert verdict.sol == RationalSolution(A, B)
-    assert solve_eea(d) == verdict
+    assert solve_eea(d) == (minsol, verdict)
     minsol_m, verdict_m = solve_minors(d)
     assert verdict_m == verdict
     assert (minsol_m.A0, minsol_m.B0) == (minsol.A0, minsol.B0)
@@ -163,7 +164,7 @@ def test_constant_fraction_and_zero_function():
     assert verdict.sol.A == Poly((1,), RAT)
     assert verdict.sol.B == Poly((Fraction(1, 5),), RAT)
     z = HermiteData((0, 3), (2, 2), ((0, 0), (0, 0)), 2, RAT)
-    for got in (solve_kernel(z)[1], solve_eea(z), solve_minors(z)[1]):
+    for got in (solve_kernel(z)[1], solve_eea(z)[1], solve_minors(z)[1]):
         assert isinstance(got, Solvable)
         assert got.sol.A == Poly.zero(RAT)
         assert got.sol.B == poly_one(RAT)
@@ -177,7 +178,7 @@ def test_k_equals_n_is_plain_interpolation():
         assert isinstance(verdict, Solvable)
         assert verdict.sol.B.degree == 0
         assert rhip_check(d, verdict.sol)
-        assert solve_eea(d) == verdict
+        assert solve_eea(d) == (minsol, verdict)
         assert solve_minors(d)[1] == verdict
 
 
@@ -404,7 +405,7 @@ def test_zero_numerator_defect_beyond_generic_bound(d, defect, wits):
     assert minsol.kernel_dim == defect
     assert isinstance(verdict, Unattainable)
     assert (verdict.stratum_j, verdict.witness_nodes) == (defect, wits)
-    assert solve_eea(d) == verdict
+    assert solve_eea(d) == (minsol, verdict)
     minsol_m, verdict_m = solve_minors(d)
     assert verdict_m == verdict
     assert minsol_m == minsol
@@ -518,8 +519,8 @@ def test_routes_agree_on_random_data(field):
             d = random_data(rng, shape, k, field)
             minsol_k, verdict_k = solve_kernel(d)
             minsol_m, verdict_m = solve_minors(d)
-            verdict_e = solve_eea(d)
-            assert minsol_k == minsol_m
+            minsol_e, verdict_e = solve_eea(d)
+            assert minsol_k == minsol_m == minsol_e
             assert verdict_k == verdict_m == verdict_e
             dim = (d.n + 1) - rank(build_matrix(d, d.k - 1, d.n - d.k))
             assert minsol_k.kernel_dim == dim
@@ -577,7 +578,8 @@ def test_routes_and_classifiers_agree_low_entropy(d):
     minsol_k, verdict_k = solve_kernel(d)
     minsol_m, verdict_m = solve_minors(d)
     assert minsol_k == minsol_m
-    assert verdict_k == verdict_m == solve_eea(d)
+    assert verdict_k == verdict_m
+    assert solve_eea(d) == (minsol_k, verdict_k)
     witnesses = () if verdict_k.solvable else verdict_k.witness_nodes
     if not verdict_k.solvable:
         assert verdict_k.stratum_j == minsol_k.kernel_dim
@@ -615,7 +617,7 @@ def euclid_data(draw):
 @example((RAT, [Fraction(1, 2), 3], (2, 2), ((0, 0), (0, 0))))
 @example((GF5, [0, 1], (2, 2), ((0, 0), (0, 1))))
 def test_int_euclid_matches_fraction_table(case):
-    """solve_eea equals the verdict read off the first row of eea_ref(F, G),
+    """solve_eea equals the pair and verdict read off the first row of eea_ref(F, G),
     its zero row included, with deg R <= k-1, at every k on the same (u, v)."""
     field, u, shape, v = case
     first = HermiteData(u, shape, v, 1, field)
@@ -628,5 +630,5 @@ def test_int_euclid_matches_fraction_table(case):
         else:
             row = next(r for r in rows if r.remainder.degree <= k - 1)
             R, T = row.remainder, row.bezout_t
-        expected = classify_minimal_ref(d, from_pair_ref(d, R, T))
-        assert solve_eea(d) == expected
+        ref = from_pair_ref(d, R, T)
+        assert solve_eea(d) == (ref, classify_minimal_ref(d, ref))
