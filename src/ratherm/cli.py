@@ -23,7 +23,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     BadIndex,
@@ -105,11 +105,13 @@ def _load_document(args) -> HermiteData:
     )
 
 
-def _emit(args, obj: dict, pretty: list[str]) -> None:
+def _emit(args, obj: dict, pretty: Callable[[], list[str]]) -> None:
+    """Print obj as JSON, or the lines of pretty(), which only
+    ``--format pretty`` calls."""
     if args.format == "json":
         print(json.dumps(obj, indent=2))
     else:
-        print("\n".join(pretty))
+        print("\n".join(pretty()))
 
 
 def _deg(p: Poly) -> Optional[int]:
@@ -153,7 +155,7 @@ def cmd_solve(args, data: HermiteData) -> int:
         "field": data.field.to_json(),
         "minimal": _minimal_json(minsol) if shows_minimal else None,
     }
-    pretty = [f"status: {out['status']}", f"method agreement: {agreement}"]
+    head = [f"status: {out['status']}", f"method agreement: {agreement}"]
     if cls.solvable:
         shown = _monic_denominator(cls.sol)
         if not rhip_check(data, shown):
@@ -161,17 +163,15 @@ def cmd_solve(args, data: HermiteData) -> int:
         out["A"] = shown.A.to_json()
         out["B"] = shown.B.to_json()
         out["reduced"] = False
-        pretty += [f"A: {shown.A}", f"B: {shown.B}"]
+        _emit(args, out, lambda: head + [f"A: {shown.A}", f"B: {shown.B}"])
     else:
         out["stratum_j"] = cls.stratum_j
         out["witness_nodes"] = list(cls.witness_nodes)
-        pretty += [
+        minimal = [("A0", minsol.A0), ("B0", minsol.B0)] if shows_minimal else []
+        _emit(args, out, lambda: head + [
             f"stratum: {cls.stratum_j}",
             f"witness nodes (0-based): {list(cls.witness_nodes)}",
-        ]
-        if shows_minimal:
-            pretty += [f"minimal A0: {minsol.A0}", f"minimal B0: {minsol.B0}"]
-    _emit(args, out, pretty)
+        ] + [f"minimal {name}: {P}" for name, P in minimal])
     if not agreement:
         return EXIT_INTERNAL
     return EXIT_OK if cls.solvable else EXIT_UNATTAINABLE
@@ -193,14 +193,13 @@ def cmd_classify(args, data: HermiteData) -> int:
         "equations": by_eq.to_json_dict(data, window),
         "rank_classifier_agrees": agrees,
     }
-    pretty = [
+    _emit(args, out, lambda: [
         f"defect: {by_eq.defect}",
         f"chart: {by_eq.chart}",
         f"unattainable: {by_eq.unattainable}",
         f"witness nodes (0-based): {list(by_eq.witnesses)}",
         f"rank classifier agrees: {agrees}",
-    ]
-    _emit(args, out, pretty)
+    ])
     if not agrees:
         return EXIT_INTERNAL
     return EXIT_UNATTAINABLE if by_eq.unattainable else EXIT_OK
@@ -217,7 +216,6 @@ def cmd_minors(args, data: HermiteData) -> int:
         )
     fmt, p = data.field.format_scalar, data.field.p
     table = {}
-    pretty = []
     vectors = {t: minor_vector(data, t) for t in range(t_min, t_max + 1)}
     master = master_matrix(data)
     for t, mv in vectors.items():
@@ -230,16 +228,13 @@ def cmd_minors(args, data: HermiteData) -> int:
             "values": {str(i): fmt(x) for i, x in enumerate(mv, 1)},
             "annihilates": annihilates,
         }
-        pretty.append(
-            f"t={t}: ({', '.join(map(str, mv))})  annihilates={annihilates}"
-        )
     # minor vectors are indexed from 1, so there is no Delta_{0,0}
     diag = {t: mv[t - 1] for t, mv in vectors.items() if t}
-    pretty.append(
-        "diagonal: " + ", ".join(f"({t},{t})={x}" for t, x in diag.items())
-    )
     out = {"minors": table, "diagonal": {str(t): fmt(x) for t, x in diag.items()}}
-    _emit(args, out, pretty)
+    _emit(args, out, lambda: [
+        f"t={t}: ({', '.join(map(str, mv))})  annihilates={table[str(t)]['annihilates']}"
+        for t, mv in vectors.items()
+    ] + ["diagonal: " + ", ".join(f"({t},{t})={x}" for t, x in diag.items())])
     return EXIT_OK
 
 
@@ -247,11 +242,9 @@ def cmd_eea_trace(args, data: HermiteData) -> int:
     G = hermite_interpolant(data)
     F = product_F(data)
     out = {"F": F.to_json(), "G": G.to_json(), "interpolant_zero": G.is_zero}
-    pretty = [f"F: {F}", f"G: {G}"]
     if G.is_zero:
         out.update({"rows": [], "cut_index": None, "gcd_is_one": True})
-        pretty.append("interpolant is zero; the solution is 0 / 1")
-        _emit(args, out, pretty)
+        _emit(args, out, lambda: [f"F: {F}", f"G: {G}", "interpolant is zero; the solution is 0 / 1"])
         return EXIT_OK
     # the zero row is the cut (virtual) only when no stored row reaches k-1
     table = _eea_table(F, G)
@@ -273,17 +266,15 @@ def cmd_eea_trace(args, data: HermiteData) -> int:
                 "is_virtual": virtual and r is rows[-1],
             }
         )
-        mark = " <- cut" if r.index == cut.index else ""
-        pretty.append(
-            f"row {r.index}: deg R = {_deg(r.remainder)}, R = {r.remainder}, "
-            f"T = {r.bezout_t}{mark}"
-        )
     out["rows"] = row_objs
     out["cut_index"] = cut.index
     out["gcd"] = g.to_json()
     out["gcd_is_one"] = g.degree == 0
-    pretty.append(f"gcd(R_cut, T_cut) = {g} (coprime: {g.degree == 0})")
-    _emit(args, out, pretty)
+    _emit(args, out, lambda: [f"F: {F}", f"G: {G}"] + [
+        f"row {r.index}: deg R = {_deg(r.remainder)}, R = {r.remainder}, "
+        f"T = {r.bezout_t}{' <- cut' if r.index == cut.index else ''}"
+        for r in rows
+    ] + [f"gcd(R_cut, T_cut) = {g} (coprime: {g.degree == 0})"])
     return EXIT_OK
 
 
@@ -301,13 +292,11 @@ def cmd_verify(args) -> int:
     reports = [check_identity(s) for s in resolved]
     total_failures = sum(len(r["failures"]) for r in reports)
     out = {"suite": args.suite, "reports": reports, "total_failures": total_failures}
-    pretty = [
+    _emit(args, out, lambda: [
         f"{r['name']}: {r['passes']}/{r['sample_count']} passes"
         + (f", {len(r['failures'])} FAILURES" if r["failures"] else "")
         for r in reports
-    ]
-    pretty.append(f"total failures: {total_failures}")
-    _emit(args, out, pretty)
+    ] + [f"total failures: {total_failures}"])
     return EXIT_VERIFY if total_failures else EXIT_OK
 
 
@@ -326,8 +315,7 @@ def cmd_sample(args) -> int:
         "force_unattainable": args.force_unattainable,
     }
     # the pretty form of a sampled document is its JSON
-    pretty = [json.dumps(out, indent=2)] if args.format == "pretty" else []
-    _emit(args, out, pretty)
+    _emit(args, out, lambda: [json.dumps(out, indent=2)])
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ column i sits at position i-1.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable
 
 from .errors import InternalInconsistency, ShapeMismatch
@@ -132,7 +133,7 @@ def _kernel_vector(M: ExactMatrix, rows: list, pivots: list, last: int, f: int) 
     v[f] = last
     for i in range(len(pivots) - 1, -1, -1):
         col, row = pivots[i], rows[i]
-        s = sum(x * y for x, y in zip(row[col + 1 :], v[col + 1 :]) if y)
+        s = sum(map(mul, row[col + 1 :], v[col + 1 :]))
         if p is not None:
             v[col] = -s % p
             continue

@@ -186,7 +186,11 @@ def _shift(c: list, d: int, a: int, b: int, count: int, p) -> tuple[list[int], i
     (b = d = 1) the passes run on residues.
     """
     N = len(c) - 1
-    cur = [x * b ** (N - l) for l, x in enumerate(c)] if p is None else list(c)
+    cur, bN = list(c), 1
+    if p is None:
+        for l in range(N - 1, -1, -1):  # bN runs through b^(N-l)
+            bN *= b
+            cur[l] *= bN
     out, bj = [], 1
     for _ in range(count):
         acc, quot = 0, []
@@ -195,7 +199,7 @@ def _shift(c: list, d: int, a: int, b: int, count: int, p) -> tuple[list[int], i
             quot.append(acc)
         out.append(quot.pop() * bj if quot else 0)
         cur, bj = quot[::-1], bj * b
-    return out, d * b ** max(N, 0)
+    return out, d * bN
 
 
 def _pseudo_step(R0: list, R: list, p) -> tuple[int, list, list]:

@@ -47,6 +47,7 @@ class HermiteData:
     field: FieldConfig
     _master: Optional[ExactMatrix] = dataclasses.field(compare=False, repr=False)
     _view: Optional[tuple] = dataclasses.field(compare=False, repr=False)
+    _answers: Optional[dict] = dataclasses.field(compare=False, repr=False)
 
     def __init__(self, u, n_vec, v, k: int, field: FieldConfig = RATIONALS):
         n_vec = tuple(int(x) for x in n_vec)
@@ -71,12 +72,12 @@ class HermiteData:
                 )
         for i in range(len(u)):
             for j in range(i + 1, len(u)):
-                if not (u[i] - u[j]):
+                if u[i] == u[j]:
                     raise DuplicateNodes(f"nodes {i} and {j} coincide")
         if not 1 <= k <= n:
             raise InvalidInput(f"k = {k} outside 1..{n}")
         field.require_characteristic(n_vec)
-        for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None, None)):
+        for name, value in zip(self.__slots__, (u, n_vec, v, int(k), field, None, None, None)):
             object.__setattr__(self, name, value)
 
     @property

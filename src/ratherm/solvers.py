@@ -14,7 +14,12 @@ Routes, each finding the minimal pair its own way, as two int lists, and
 then handing it to ``_classify``, which boxes it once and runs the node
 test on the ints.  Each returns the (MinimalSolution, Classification) that
 ``_classify`` builds, so two routes agree exactly when their answers are
-equal:
+equal.  The answer is cached on the instance, keyed by the canonical pair
+(``_canonical``: the ints up to scale, trailing zeros stripped).  That is
+exact: every value ``_classify`` builds or checks is a function of the
+instance and the pair up to scale, and a pair that differs in any
+coefficient has another key and is classified on its own.  Each route
+still finds its own pair and checks its own dimension law:
 
 - ``solve_kernel``: one elimination of the main matrix gives the defect,
   its number of free columns, and the pair, the kernel vector of its first
@@ -38,6 +43,7 @@ catalog checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -138,7 +144,36 @@ def diagonal_minor(data: HermiteData, t: int) -> Scalar:
     return determinant(build_matrix(data, t - 2, data.n - t))
 
 
+def _canonical(data: HermiteData, A: list, B: list) -> tuple[tuple, tuple]:
+    """The int pair (A, B) up to scale: over Q divided by gcd(*A, *B), signed
+    so that ``from_pair``'s unit is positive; over GF(p) times the unit's
+    inverse, so that it is 1.  Each side's trailing zeros are stripped."""
+    p = data.field.p
+    unit = next((x for P in (A, B) for x in reversed(P) if x), 0)
+    if not unit:
+        raise InternalInconsistency("zero pair offered as minimal solution")
+    g = (math.gcd(*A, *B) if unit > 0 else -math.gcd(*A, *B)) if p is None else pow(unit, -1, p)
+    key = []
+    for P in (A, B):
+        P = [x // g for x in P] if p is None else [x * g % p for x in P]
+        while P and not P[-1]:
+            P.pop()
+        key.append(tuple(P))
+    return tuple(key)
+
+
 def _classify(data: HermiteData, A: list, B: list) -> tuple[MinimalSolution, Classification]:
+    """``_classify_once`` of the canonical pair, computed on the first route
+    that offers it and cached on the instance."""
+    if data._answers is None:
+        object.__setattr__(data, "_answers", {})
+    key = _canonical(data, A, B)
+    if key not in data._answers:
+        data._answers[key] = _classify_once(data, *key)
+    return data._answers[key]
+
+
+def _classify_once(data: HermiteData, A, B) -> tuple[MinimalSolution, Classification]:
     """The minimal solution of a route's int pair (A, B), and the node test
     of that pair, per the solvability criterion.
 

@@ -65,7 +65,7 @@ def random_nodes(
         if attempts > 1000:
             raise InfeasibleRequest(f"cannot draw {l} distinct nodes from {field}")
         x = random_scalar(rng, field)
-        if all(x - y for y in nodes):
+        if x not in nodes:
             nodes.append(x)
     return tuple(nodes)
 

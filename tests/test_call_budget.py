@@ -5,8 +5,10 @@ halted elimination at every defect, ``sample_stratum`` one per draw,
 ``minors`` slices each of its matrices once, and ``eea-trace`` runs one
 Euclid for its table.  Work pins: the node
 int view is computed once per instance, ``rhip_check`` is one pass of two
-Taylor shifts per node, and a parsed GF(p) document is solved and
-classified without one checked ``PrimeFieldElement`` construction.
+Taylor shifts per node, ``solve --method all`` boxes its minimal pair
+once and runs ``rhip_check`` twice when solvable, none when unattainable,
+and a parsed GF(p) document is solved and classified without one checked
+``PrimeFieldElement`` construction.
 
 ``_count_eliminations`` wraps ``linalg._eliminate`` in ``linalg`` and in
 every ratherm module that binds it, so each elimination is seen, behind
@@ -26,6 +28,7 @@ import pytest
 from ratherm import (
     FieldConfig,
     HermiteData,
+    MinimalSolution,
     Poly,
     PrimeFieldElement,
     classify_by_rank,
@@ -173,11 +176,49 @@ def test_solve_kernel_eliminates_the_main_matrix_once(monkeypatch, generic):
     assert {solve_kernel(d)[0].kernel_dim for d in draws} == {1, 2, 3, 4}
 
 
+def _count_from_pair(monkeypatch):
+    calls, inner = [], MinimalSolution.from_pair.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return inner(cls, *args)
+
+    monkeypatch.setattr(MinimalSolution, "from_pair", classmethod(counted))
+    return calls
+
+
+def test_solve_all_classifies_its_minimal_pair_once(monkeypatch, generic, tmp_path, capsys):
+    """The three routes of ``solve --method all`` offer one minimal pair up
+    to scale, so it is boxed once, and ``rhip_check`` runs twice on
+    solvable data, on the classifier's solution and on the emitted one,
+    and never on unattainable data."""
+    from_pair = _count_from_pair(monkeypatch)
+    checks = _spy_everywhere(monkeypatch, problem, "rhip_check")
+    gf = FieldConfig.prime(1000003)
+    docs = generic + _draws((((3, 3, 2), 4, 3),), 75) + ZERO_NUMERATOR + [
+        random_data(random.Random(1), (4, 4, 4), 6, gf)]
+    codes = set()
+    for d in docs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(d.to_json_dict()))
+        from_pair.clear()
+        checks.clear()
+        code = main(["solve", "--method", "all", "--input", str(path)])
+        capsys.readouterr()
+        assert len(from_pair) == 1
+        assert len(checks) == {0: 2, 3: 0}[code]
+        codes.add(code)
+    assert codes == {0, 3}
+
+
 def test_sampler_rederives_each_draw_with_one_elimination(monkeypatch):
     """``sample_stratum`` re-derives each drawn instance, plain or forced,
-    with ``solve_kernel`` alone: one elimination of the main matrix per
+    with ``solve_kernel`` alone: one elimination of the main matrix, one
+    boxed minimal pair and, when it is solvable, one ``rhip_check`` per
     draw, at every defect; a draw that fails a side condition takes none."""
     eliminations = _count_eliminations(monkeypatch)
+    from_pair = _count_from_pair(monkeypatch)
+    checks = _spy_everywhere(monkeypatch, problem, "rhip_check")
     drawn = []
     for name in ("_draw_plain", "_draw_forced"):
         inner = getattr(verify, name)
@@ -187,11 +228,16 @@ def test_sampler_rederives_each_draw_with_one_elimination(monkeypatch):
             for forced, top in ((False, m + 1), (True, m)):
                 for j in range(1, top + 1):
                     eliminations.clear()
+                    from_pair.clear()
+                    checks.clear()
                     drawn.clear()
                     d = sample_stratum(shape, k, j, forced, 100 + j, field)
                     tried = [x for x in drawn if x is not None]
                     assert tried[-1] is d
                     assert eliminations == [(d.n, d.n + 1, False)] * len(tried)
+                    assert [args[0] for args in from_pair] == tried
+                    # the answers are cached on each draw: no second check here
+                    assert [args[0] for args in checks] == [x for x in tried if solve_kernel(x)[1].solvable]
 
 
 def test_rank_classifier_takes_one_stopped_elimination_at_every_defect(monkeypatch, generic):

@@ -491,6 +491,39 @@ def test_eea_trace_virtual_row(tmp_path, capsys):
     assert out["gcd_is_one"] is False
 
 
+def test_json_output_builds_no_pretty_line(tmp_path, capsys, monkeypatch):
+    """Pretty lines are built only under ``--format pretty``: with
+    ``Poly.__str__`` and ``PrimeFieldElement.__str__`` raising, every
+    command's JSON output and exit code are unchanged."""
+    from ratherm.field import PrimeFieldElement
+
+    gf_doc = {"field": {"p": 1000003}, "k": 3, "nodes": [
+        {"u": u, "values": [u + j for j in range(ni)]} for u, ni in ((0, 2), (1, 1), (2, 1))]}
+    runs = [
+        c + ["--input", write_doc(tmp_path, doc, f"doc{i}.json")]
+        for i, doc in enumerate((GOLDEN_DOC, solvable_doc(), ZERO_DOC, BEYOND_DOC, gf_doc))
+        for c in (["solve"], ["solve", "--method", "eea"], ["classify"], ["minors"], ["eea-trace"])
+    ]
+    runs += [["sample", "--shape", "3,2", "--k", "3", "--seed", "4"],
+             ["verify", "--samples", "2", "--seed", "1"]]
+    expected = []
+    for argv in runs:
+        expected.append((main(argv), capsys.readouterr()))
+
+    def refuse(self):
+        raise AssertionError("pretty line built for JSON output")
+
+    monkeypatch.setattr(Poly, "__str__", refuse)
+    monkeypatch.setattr(PrimeFieldElement, "__str__", refuse)
+    for argv, (code, captured) in zip(runs, expected):
+        assert (main(argv), capsys.readouterr()) == (code, captured), argv
+        assert code in (0, 3) and not captured.err
+    with pytest.raises(AssertionError):
+        str(Poly((1,), RAT))
+    assert main(["solve", "--format", "pretty", "--input", runs[0][-1]]) == 2
+    assert "pretty line built" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- verify
 
 

@@ -39,7 +39,8 @@ from ratherm import (
 )
 from ratherm.linalg import _eliminate, _kernel_vector, determinant
 from ratherm.problem import witness_nodes
-from ratherm.solvers import chart_pair, find_defect
+from ratherm import solvers
+from ratherm.solvers import _canonical, _classify, chart_pair, find_defect
 
 from oracles import (
     classify_by_rank_ref,
@@ -632,3 +633,99 @@ def test_int_euclid_matches_fraction_table(case):
             R, T = row.remainder, row.bezout_t
         ref = from_pair_ref(d, R, T)
         assert solve_eea(d) == (ref, classify_minimal_ref(d, ref))
+
+
+# ------------------------------------------------ one answer per minimal pair
+
+CACHE_FIELDS = (RAT, FieldConfig.prime(1000003), GF7)
+
+
+def _random_pairs(rng, d, count):
+    """Nonzero int pairs within the degree bounds of d, k and n-k+1
+    coefficients, mostly zeros; residues of either sign over GF(p)."""
+    top = 5 if d.field.p is None else d.field.p - 1
+
+    def draw(size):
+        return [rng.choice((0, 0, rng.randint(-top, top))) for _ in range(size)]
+
+    pairs = ((draw(d.k), draw(d.n - d.k + 1)) for _ in range(2 * count))
+    return [pair for pair in pairs if any(pair[0] + pair[1])][:count]
+
+
+def _scaled(d, pair, c):
+    p = d.field.p
+    return tuple([x * c if p is None else x * c % p for x in P] for P in pair)
+
+
+def _unit(rng, d):
+    p = d.field.p
+    return rng.choice((-1, 1)) * rng.randint(1, 10**6) if p is None else rng.randint(1, p - 1)
+
+
+@pytest.mark.parametrize("field", CACHE_FIELDS, ids=str)
+def test_canonical_pair_is_invariant_under_scale_and_trailing_zeros(field):
+    rng = random.Random(28)
+    d = HermiteData((0, 1), (3, 2), ((1, 2, 3), (4, 5)), 3, field)
+    for A, B in _random_pairs(rng, d, 300):
+        key = _canonical(d, A, B)
+        assert _canonical(d, *_scaled(d, (A, B), _unit(rng, d))) == key
+        assert _canonical(d, A + [0] * rng.randint(0, 3), B + [0] * rng.randint(0, 3)) == key
+    with pytest.raises(InternalInconsistency):
+        _canonical(d, [0, 0], [])
+
+
+@pytest.mark.parametrize("field", CACHE_FIELDS, ids=str)
+def test_canonical_keys_are_equal_exactly_when_the_minimal_solutions_are(field):
+    """Random pairs, their multiples and their one-coefficient changes: two
+    keys are equal exactly when ``from_pair`` gives equal solutions."""
+    rng = random.Random(29)
+    d = HermiteData((0, 1), (3, 2), ((1, 2, 3), (4, 5)), 3, field)
+    pairs = []
+    for A, B in _random_pairs(rng, d, 60):
+        changed, i = [A[:], B[:]], rng.randrange(d.k)
+        changed[0][i] = A[i] + 1 if field.p is None else (A[i] + 1) % field.p
+        pairs += [(A, B), _scaled(d, (A, B), _unit(rng, d))] + [tuple(changed)] * any(changed[0] + B)
+    keys = [_canonical(d, A, B) for A, B in pairs]
+    sols = [MinimalSolution.from_pair(d, A, B) for A, B in pairs]
+    same = 0
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            assert (keys[i] == keys[j]) == (sols[i] == sols[j])
+            same += i != j and keys[i] == keys[j]
+    assert same >= 60
+
+
+def test_routes_return_one_answer_on_every_golden_document():
+    for doc in DOCUMENTS:
+        d = HermiteData.from_json_dict(doc)
+        kernel, eea, minors = solve_kernel(d), solve_eea(d), solve_minors(d)
+        assert all(a is b is c for a, b, c in zip(kernel, eea, minors))
+        assert len(d._answers) == 1
+
+
+@pytest.mark.parametrize("field", CACHE_FIELDS, ids=str)
+def test_a_pair_changed_in_one_coefficient_is_classified_on_its_own(monkeypatch, field):
+    """A pair that differs from the cached one in any coefficient misses the
+    cache: it is boxed and checked on its own, which here fails the
+    original problem; the cached answer stays."""
+    calls, inner = [], solvers._classify_once
+    monkeypatch.setattr(solvers, "_classify_once", lambda *a: calls.append(a) or inner(*a))
+    p = field.p
+    for forced in (False, True):
+        d = sample_stratum((3, 3), 3, 1, forced, 12, field)
+        answer = solve_kernel(d)
+        (key,) = d._answers
+        assert len(calls) == 1
+        for side in (0, 1):
+            for i in range(len(key[side])):
+                changed = [list(key[0]), list(key[1])]
+                changed[side][i] = changed[side][i] + 1 if p is None else (changed[side][i] + 1) % p
+                assert _canonical(d, *changed) != key
+                try:
+                    assert _classify(d, *changed) != answer
+                except InternalInconsistency:
+                    pass
+        assert len(calls) == 1 + len(key[0]) + len(key[1])
+        calls.clear()
+        assert all(a is b for a, b in zip(solve_eea(d), answer))
+        assert solve_minors(d) == answer and calls == []
